@@ -325,13 +325,15 @@ def cmd_verify(args) -> int:
     tr = _build_trade(args)
     grid = _grid_from(args)
     report = {"config": _resolved_config(args, tr, sim=True, grid=grid), "gate": args.gate}
+    ctx = ShorthandContext(m, tr)  # rejects a bad (market, trade) pair before any path is drawn
 
+    # one batch feeds both the law comparison and the property legs
+    batch = run_batch(
+        m, tr, grid, args.paths, args.seed,
+        bridge=args.bridge, n_workers=args.workers, trajectory=True,
+    )
     if tr.s_star is not None:
-        comparison = _verify.replicate(
-            mu=m.mu, sigma=m.sigma, s0=m.s0, s_star=tr.s_star, u0=tr.u0, k=tr.k,
-            t_end=args.t, n_paths=args.paths, n_steps=grid.n_steps, master_seed=args.seed,
-            bridge=args.bridge, v0=tr.v0, n_workers=args.workers,
-        )
+        comparison = _verify.law_report(batch, ctx, args.t)
         cdf_ok = comparison.sup_distance <= args.gate
         report["cdf_comparison"] = {
             "sup_distance": comparison.sup_distance,
@@ -342,7 +344,7 @@ def cmd_verify(args) -> int:
         cdf_ok = True
         report["cdf_comparison"] = {"skipped": "no stop order; nothing to gate"}
 
-    props = _verify.property_suite(m, tr, grid, args.paths, args.seed, bridge=args.bridge)
+    props = _verify.property_report(batch, m, tr, grid, args.seed, args.bridge)
     report["properties"] = {
         leg.name: {"status": leg.status, **leg.detail} for leg in props.legs
     }

@@ -137,10 +137,18 @@ def z_star(m: MarketParams, tr: TradeSpec) -> float:
     """Reflection weight ``(s_star/s0)**(2*mu/sigma**2 - 1)``.
 
     Scales the image term that removes paths already absorbed at the stop
-    level from survivor probabilities.
+    level from survivor probabilities.  Raises :class:`DomainError` when the
+    weight overflows a float.
     """
     s_star = require_stop(tr, m)
-    return float((s_star / m.s0) ** (2.0 * m.mu / m.sigma**2 - 1.0))
+    exponent = 2.0 * m.mu / m.sigma**2 - 1.0
+    try:
+        return float((s_star / m.s0) ** exponent)
+    except OverflowError:
+        raise DomainError(
+            f"reflection weight (s_star/s0)**{exponent:g} overflows a float "
+            f"(s_star={s_star}, s0={m.s0}, mu={m.mu}, sigma={m.sigma})"
+        ) from None
 
 
 def g_star(tr: TradeSpec, m: MarketParams) -> float:

@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import simulate as _sim
 from .cdf import CdfQuery, ShorthandContext, cdf_no_stop, cdf_with_stop
 from .errors import EmptySampleError, ParameterError
 from .model import (
@@ -26,7 +25,7 @@ from .model import (
     g_star_t,
     timid_floor,
 )
-from .simulate import PathGrid, run_batch
+from .simulate import BatchResult, PathGrid, run_batch
 
 __all__ = [
     "EmpiricalCdf",
@@ -38,6 +37,8 @@ __all__ = [
     "empirical_cdf",
     "compare",
     "comparison_grid",
+    "law_report",
+    "property_report",
     "replicate",
     "reproduce_figure",
     "property_suite",
@@ -186,6 +187,18 @@ def replicate(
     ctx = ShorthandContext(m, tr)
     grid = PathGrid(t_end, n_steps)
     batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
+    return law_report(batch, ctx, t_end, n_grid, metadata)
+
+
+def law_report(
+    batch: BatchResult, ctx: ShorthandContext, t_end: float, n_grid: int = 512,
+    metadata: dict | None = None,
+) -> ComparisonReport:
+    """Compare a batch's terminal gains with the stop-protected gain law.
+
+    The law is evaluated on :func:`comparison_grid`; ``batch`` must come
+    from the market and trade of ``ctx`` at horizon ``t_end``.
+    """
     e = empirical_cdf(batch.terminal_gain)
     xs = comparison_grid(ctx, t_end, n_grid)
     return compare(e, lambda x: cdf_with_stop(CdfQuery(x, t_end), ctx).p, xs, metadata)
@@ -211,10 +224,10 @@ def reproduce_figure(
 ) -> FigureResult:
     """Rebuild one of the three demo comparisons (k = 1, 2 and 0.5).
 
-    Runs two batches from the same master seed: one with the stop order, one
-    without, over identical price paths (the streams are keyed per path, not
-    per configuration).  Emits the five-column dataset and the comparison
-    report of the stop-protected law.
+    Simulates one batch with the stop order and compares both its terminal
+    gains and the free-running gains of the same price paths with their
+    laws.  Emits the five-column dataset and the comparison report of the
+    stop-protected law.
     """
     if which not in FIGURE_PARAMS:
         raise ParameterError(f"which must be one of {sorted(FIGURE_PARAMS)} (got {which})")
@@ -227,30 +240,24 @@ def reproduce_figure(
     ctx = ShorthandContext(m, tr)
     grid = PathGrid(t_end, n_steps)
 
-    batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
-    tr_free = TradeSpec(u0=tr.u0, k=tr.k, v0=tr.v0, s_star=None)
-    batch_free = run_batch(m, tr_free, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
+    batch = run_batch(
+        m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers, free_gain=True
+    )
 
-    xs = comparison_grid(ctx, t_end)
     metadata = dict(
         which=which, mu=p["mu"], sigma=p["sigma"], s0=p["s0"], s_star=p["s_star"],
         u0=p["u0"], k=p["k"], t_end=t_end, n_paths=n_paths, n_steps=n_steps,
         master_seed=master_seed, bridge=bridge,
     )
-    report = compare(
-        empirical_cdf(batch.terminal_gain),
-        lambda x: cdf_with_stop(CdfQuery(x, t_end), ctx).p,
-        xs,
-        metadata,
-    )
+    report = law_report(batch, ctx, t_end, metadata=metadata)
     no_stop_report = compare(
-        empirical_cdf(batch_free.terminal_gain),
+        empirical_cdf(batch.free_gain),
         lambda x: cdf_no_stop(CdfQuery(x, t_end), ctx).p,
-        xs,
+        report.grid,
         {**metadata, "stop_enabled": False},
     )
     dataset = {
-        "x": xs,
+        "x": report.grid,
         "F0_theory": no_stop_report.theory,
         "F_theory": report.theory,
         "F0_empirical": no_stop_report.empirical,
@@ -314,59 +321,36 @@ def property_suite(
         ``c * (1 - F(c - v0)) - v0`` within three standard errors, for
         cutoffs ``c`` at half, once and twice ``v0``.
     """
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise ParameterError(f"n_paths must be an integer >= 1 (got {n_paths})")
+    batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, trajectory=True)
+    return property_report(batch, m, tr, grid, master_seed, bridge)
+
+
+def property_report(
+    batch: BatchResult,
+    m: MarketParams,
+    tr: TradeSpec,
+    grid: PathGrid,
+    master_seed: int,
+    bridge: bool = True,
+) -> PropertyReport:
+    """The legs of :func:`property_suite`, from a batch run with ``trajectory=True``.
+
+    ``m``, ``tr``, ``grid``, ``master_seed`` and ``bridge`` are the batch's
+    own; they fill in the report's metadata.
+    """
+    if batch.trajectory is None:
+        raise ParameterError("property legs need a batch run with trajectory=True")
     ctx = ShorthandContext(m, tr)
-    n = grid.n_steps
-    half = 0.5 * m.sigma**2 * (tr.k - tr.k**2)
-    cap = tr.u0 + tr.k * tr.v0  # |u| bound is this plus k times the account value
-
-    min_v = math.inf
-    min_u_active = math.inf
-    max_abs_u_stopped = 0.0
-    max_bound_excess = -math.inf
-    violations = {"survivability": 0, "long_only": 0, "control_bound": 0}
-    terminal = np.empty(int(n_paths))
-
-    chunk = 2048
-    times_tail = None
-    for first in range(0, int(n_paths), chunk):
-        count = min(chunk, int(n_paths) - first)
-        log_rel, stop_idx = _sim._chunk_paths(m, tr, grid, master_seed, first, count, bridge)
-        if times_tail is None:
-            times_tail = grid.times[1:]
-        g = (tr.u0 / tr.k) * np.expm1(tr.k * log_rel + half * times_tail)
-        col = np.arange(1, n + 1)
-        stopped_mask = col >= stop_idx[:, None]
-        if tr.s_star is not None:
-            stop_t = np.where(stop_idx <= n, grid.times[np.minimum(stop_idx, n)], np.nan)
-            frozen = (tr.u0 / tr.k) * np.expm1(
-                tr.k * math.log(tr.s_star / m.s0) + half * np.nan_to_num(stop_t)
-            )
-            g = np.where(stopped_mask, frozen[:, None], g)
-        u = np.where(stopped_mask, 0.0, tr.u0 + tr.k * g)
-        v = tr.v0 + g
-
-        min_v = min(min_v, float(v.min()))
-        active = ~stopped_mask
-        if active.any():
-            min_u_active = min(min_u_active, float(u[active].min()))
-        if stopped_mask.any():
-            max_abs_u_stopped = max(max_abs_u_stopped, float(np.abs(u[stopped_mask]).max()))
-        excess = np.abs(u) - (cap + tr.k * v)
-        max_bound_excess = max(max_bound_excess, float(excess.max()))
-        violations["survivability"] += int((v < 0).sum())
-        violations["long_only"] += int((u[active] <= 0).sum()) + int((u[stopped_mask] != 0).sum())
-        violations["control_bound"] += int((excess > 0).sum())
-        terminal[first : first + count] = g[:, -1]
-
+    traj = batch.trajectory
+    terminal = batch.terminal_gain
     legs = []
     if check_survivability(tr):
         legs.append(
             LegResult(
                 "survivability",
-                "pass" if violations["survivability"] == 0 else "fail",
-                {"min_account_value": min_v, "violations": violations["survivability"]},
+                "pass" if traj.survivability_violations == 0 else "fail",
+                {"min_account_value": traj.min_account_value,
+                 "violations": traj.survivability_violations},
             )
         )
     else:
@@ -376,19 +360,19 @@ def property_suite(
     legs.append(
         LegResult(
             "long_only",
-            "pass" if violations["long_only"] == 0 else "fail",
+            "pass" if traj.long_only_violations == 0 else "fail",
             {
-                "min_active_investment": min_u_active,
-                "max_abs_stopped_investment": max_abs_u_stopped,
-                "violations": violations["long_only"],
+                "min_active_investment": traj.min_active_investment,
+                "max_abs_stopped_investment": traj.max_abs_stopped_investment,
+                "violations": traj.long_only_violations,
             },
         )
     )
     legs.append(
         LegResult(
             "control_bound",
-            "pass" if violations["control_bound"] == 0 else "fail",
-            {"max_excess": max_bound_excess, "violations": violations["control_bound"]},
+            "pass" if traj.control_bound_violations == 0 else "fail",
+            {"max_excess": traj.max_bound_excess, "violations": traj.control_bound_violations},
         )
     )
 
@@ -413,7 +397,7 @@ def property_suite(
 
     metadata = dict(
         mu=m.mu, sigma=m.sigma, s0=m.s0, s_star=tr.s_star, u0=tr.u0, k=tr.k, v0=tr.v0,
-        t_end=grid.t_end, n_steps=grid.n_steps, n_paths=int(n_paths),
+        t_end=grid.t_end, n_steps=grid.n_steps, n_paths=len(terminal),
         master_seed=int(master_seed), bridge=bridge,
     )
     return PropertyReport(legs=tuple(legs), metadata=metadata)

@@ -1,10 +1,12 @@
 """Command-line interface: output formats, exit codes and config files."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
+from stopgain import cli, simulate, verify
 from stopgain.cdf import CdfQuery, ShorthandContext, cdf_with_stop
 from stopgain.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from stopgain.model import MarketParams, TradeSpec
@@ -58,6 +60,16 @@ class TestEval:
     def test_bad_horizon(self, capsys):
         rc, _, err = run(capsys, ["eval", "--sstar", "0.5", "--x", "0.0", "--t", "-1"])
         assert rc == EXIT_USAGE
+
+    def test_reflection_weight_overflow(self, capsys):
+        rc, out, err = run(
+            capsys,
+            ["eval", "--mu", "-1", "--sigma", "0.01", "--s0", "1", "--sstar", "0.9",
+             "--k", "2", "--x", "0.1"],
+        )
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
 
 
 class TestStoptime:
@@ -347,3 +359,120 @@ class TestFigure:
             main(["figure", "4"])
         capsys.readouterr()
         assert exc.value.code == 2
+
+
+# `verify` report of the small run below, as written when the law comparison
+# and the property legs each simulated the batch themselves
+PINNED_VERIFY_JSON = """\
+{
+  "cdf_comparison": {
+    "n_grid": 513,
+    "passed": true,
+    "sup_distance": 0.013102302786343833
+  },
+  "config": {
+    "bridge": true,
+    "k": 2.0,
+    "mu": 0.5,
+    "paths": 2000,
+    "s0": 1.0,
+    "s_star": 0.5,
+    "seed": 3,
+    "sigma": 1.0,
+    "steps": 64,
+    "stop_enabled": true,
+    "t": 1.0,
+    "u0": 1.0,
+    "v0": 0.5,
+    "workers": 1
+  },
+  "gate": 0.015,
+  "passed": true,
+  "properties": {
+    "control_bound": {
+      "max_excess": -1.9999999999999964,
+      "status": "pass",
+      "violations": 0
+    },
+    "long_only": {
+      "max_abs_stopped_investment": 0.0,
+      "min_active_investment": 0.09605431174763712,
+      "status": "pass",
+      "violations": 0
+    },
+    "lower_bound": {
+      "cutoffs": {
+        "half_v0": {
+          "bound": -0.40569580151101897,
+          "c": 0.25,
+          "ok": true
+        },
+        "twice_v0": {
+          "bound": -0.3141624070346921,
+          "c": 1.0,
+          "ok": true
+        },
+        "v0": {
+          "bound": -0.3605450553203352,
+          "c": 0.5,
+          "ok": true
+        }
+      },
+      "mean_gain": 0.5653615980822205,
+      "standard_error": 0.07988673817911886,
+      "status": "pass"
+    },
+    "survivability": {
+      "min_account_value": 0.04598493014643029,
+      "status": "pass",
+      "violations": 0
+    }
+  }
+}
+"""
+# SHA-256 of the CSV of `figure 2 --paths 2000 --steps 64`, written when it ran
+# one batch with the stop order and a second one without
+PINNED_FIGURE2_CSV_SHA256 = "b7b7e1cf65dc3e4f90626a9658a0fef6c3ede7c21f52ac2685a811a51096c97e"
+
+
+@pytest.fixture
+def simulated(monkeypatch):
+    """Counts ``run_batch`` calls and the paths the chunk kernel draws."""
+    counts = {"run_batch": 0, "paths": 0}
+    real_run_batch, real_chunk_paths = simulate.run_batch, simulate._chunk_paths
+
+    def run_batch(*args, **kwargs):
+        counts["run_batch"] += 1
+        return real_run_batch(*args, **kwargs)
+
+    def chunk_paths(m, tr, grid, master_seed, first_path, n_paths, bridge):
+        counts["paths"] += n_paths
+        return real_chunk_paths(m, tr, grid, master_seed, first_path, n_paths, bridge)
+
+    monkeypatch.setattr(cli, "run_batch", run_batch)
+    monkeypatch.setattr(verify, "run_batch", run_batch)
+    monkeypatch.setattr(simulate, "_chunk_paths", chunk_paths)
+    return counts
+
+
+class TestSimulatesOnce:
+    def test_verify(self, capsys, tmp_path, simulated):
+        out_file = tmp_path / "verify.json"
+        rc = main(["verify", "--sstar", "0.5", "--k", "2", "--paths", "2000", "--steps", "64",
+                   "--seed", "3", "--out", str(out_file)])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        assert simulated == {"run_batch": 1, "paths": 2000}
+        assert out_file.read_text() == PINNED_VERIFY_JSON
+
+    def test_figure(self, capsys, tmp_path, simulated):
+        result = verify.reproduce_figure(2, n_paths=2000, n_steps=64)
+        assert simulated == {"run_batch": 1, "paths": 2000}
+        assert result.report.n_samples == result.no_stop_report.n_samples == 2000
+        rc = main(["figure", "2", "--paths", "2000", "--steps", "64", "--gate", "0.5",
+                   "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        assert simulated == {"run_batch": 2, "paths": 4000}
+        digest = hashlib.sha256((tmp_path / "figure2.csv").read_bytes()).hexdigest()
+        assert digest == PINNED_FIGURE2_CSV_SHA256

@@ -193,6 +193,12 @@ class TestAccountChecks:
         m = MarketParams(mu=1.0, sigma=1.0, s0=1.0)
         assert z_star(m, trade(1.0)) == 0.5
 
+    def test_z_star_overflow_is_a_domain_error(self):
+        # (0.9)**-20001 is past the largest float
+        m = MarketParams(mu=-1.0, sigma=0.01, s0=1.0)
+        with pytest.raises(DomainError):
+            z_star(m, trade(2.0, s_star=0.9))
+
     def test_survivability_condition(self):
         assert check_survivability(TradeSpec(u0=1.0, k=1.0, v0=1.0))
         assert check_survivability(TradeSpec(u0=1.0, k=2.0, v0=1.0))

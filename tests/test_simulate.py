@@ -1,7 +1,9 @@
 """Sampler determinism, stop detection and batch generation."""
 
+import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from stopgain.simulate import (
     PathGrid,
     PricePath,
     SeedSpec,
+    TrajectoryStats,
     _chunk_paths,
     detect_stop,
     gain_trajectory,
@@ -301,3 +304,99 @@ class TestRunBatch:
                 assert math.isnan(batch.stop_time[i])
             else:
                 assert float(t_field) == batch.stop_time[i]
+
+    @pytest.mark.parametrize("trajectory", [False, True])
+    def test_peak_memory_stays_inside_budget(self, trajectory):
+        # 32 MiB over 6 padded float64 rows of 1024 steps is 682 paths a
+        # chunk, so 1500 paths take three chunks
+        budget_mb = 32
+        tracemalloc.start()
+        try:
+            run_batch(DEMO, TRADE2, PathGrid(1.0, 1024), 1500, 3,
+                      memory_budget_mb=budget_mb, trajectory=trajectory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget_mb * 2**20
+
+
+def _reference_trajectory(m, tr, grid, n_paths, master_seed):
+    """Per-step reductions over whole 2048-path matrices of ``_chunk_paths`` rows.
+
+    The gains, investments and account values are formed elementwise with
+    ``np.where`` over full matrices, the way the property legs computed them
+    before the batch kernel took them over.
+    """
+    n = grid.n_steps
+    half = 0.5 * m.sigma**2 * (tr.k - tr.k**2)
+    cap = tr.u0 + tr.k * tr.v0
+    min_v = min_u_active = math.inf
+    max_abs_u_stopped = 0.0
+    max_bound_excess = -math.inf
+    violations = {"survivability": 0, "long_only": 0, "control_bound": 0}
+    terminal = np.empty(n_paths)
+    for first in range(0, n_paths, 2048):
+        count = min(2048, n_paths - first)
+        log_rel, stop_idx = _chunk_paths(m, tr, grid, master_seed, first, count, True)
+        g = (tr.u0 / tr.k) * np.expm1(tr.k * log_rel + half * grid.times[1:])
+        stopped_mask = np.arange(1, n + 1) >= stop_idx[:, None]
+        if tr.s_star is not None:
+            stop_t = np.where(stop_idx <= n, grid.times[np.minimum(stop_idx, n)], np.nan)
+            frozen = (tr.u0 / tr.k) * np.expm1(
+                tr.k * math.log(tr.s_star / m.s0) + half * np.nan_to_num(stop_t)
+            )
+            g = np.where(stopped_mask, frozen[:, None], g)
+        u = np.where(stopped_mask, 0.0, tr.u0 + tr.k * g)
+        v = tr.v0 + g
+        active = ~stopped_mask
+        min_v = min(min_v, float(v.min()))
+        if active.any():
+            min_u_active = min(min_u_active, float(u[active].min()))
+        if stopped_mask.any():
+            max_abs_u_stopped = max(max_abs_u_stopped, float(np.abs(u[stopped_mask]).max()))
+        excess = np.abs(u) - (cap + tr.k * v)
+        max_bound_excess = max(max_bound_excess, float(excess.max()))
+        violations["survivability"] += int((v < 0).sum())
+        violations["long_only"] += int((u[active] <= 0).sum()) + int((u[stopped_mask] != 0).sum())
+        violations["control_bound"] += int((excess > 0).sum())
+        terminal[first : first + count] = g[:, -1]
+    stats = TrajectoryStats(
+        min_v, min_u_active, max_abs_u_stopped, max_bound_excess,
+        violations["survivability"], violations["long_only"], violations["control_bound"],
+    )
+    return stats, terminal
+
+
+class TestTrajectoryStats:
+    GRID = PathGrid(1.0, 256)
+    N_PATHS = 3000
+
+    @pytest.mark.parametrize("trade", [
+        TradeSpec(u0=1.0, k=2.0, v0=0.5, s_star=0.5),
+        TradeSpec(u0=1.0, k=0.5, v0=2.0, s_star=0.5),
+        TradeSpec(u0=1.0, k=2.0, v0=0.5),
+    ], ids=["k2", "k0.5", "no-stop"])
+    def test_matches_full_matrix_reference(self, trade):
+        ref, ref_terminal = _reference_trajectory(DEMO, trade, self.GRID, self.N_PATHS, 99)
+        # 2 MiB makes 170-path chunks; 512 MiB one chunk of many sub-blocks
+        for n_workers in (1, 2):
+            for budget_mb in (2, 512):
+                batch = run_batch(DEMO, trade, self.GRID, self.N_PATHS, 99, n_workers=n_workers,
+                                  memory_budget_mb=budget_mb, trajectory=True)
+                assert batch.trajectory == ref, (n_workers, budget_mb)
+                assert np.array_equal(batch.terminal_gain, ref_terminal)
+
+    def test_absent_unless_asked_for(self):
+        batch = run_batch(DEMO, TRADE2, self.GRID, 10, 1)
+        assert batch.trajectory is None
+        assert batch.free_gain is None
+
+    @pytest.mark.parametrize("k", [2.0, 0.5])
+    def test_free_gain_is_the_no_stop_batch(self, k):
+        trade = TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5)
+        free = run_batch(DEMO, dataclasses.replace(trade, s_star=None), self.GRID, self.N_PATHS, 5)
+        for budget_mb in (2, 512):
+            batch = run_batch(DEMO, trade, self.GRID, self.N_PATHS, 5,
+                              memory_budget_mb=budget_mb, free_gain=True)
+            assert batch.stopped.any()
+            assert np.array_equal(batch.free_gain, free.terminal_gain)
