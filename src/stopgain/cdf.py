@@ -3,7 +3,8 @@
 Every probability here reduces to combinations of the standard normal CDF
 evaluated at log-price arguments.  Branch selection is explicit: each CDF
 value carries a tag naming the piece of the piecewise law that produced it,
-so tests and reports can assert not just the number but the route.
+so tests and reports can assert not just the number but the route.  The laws
+are vectorized over the level: an array query gets arrays of values and tags.
 
 Internals evaluate the normal-CDF arguments from logarithms directly, which
 keeps every expression finite for feedback gains far above one (stress-tested
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import DomainError, ParameterError, RegimeError
 from .model import MarketParams, Regime, TradeSpec, g_star, g_star_t, require_stop, timid_floor, z_star
@@ -36,21 +38,28 @@ __all__ = [
     "cdf_with_stop",
 ]
 
-_SQRT2 = math.sqrt(2.0)
-
 BRANCH_FLOOR = "floor"
 BRANCH_MIDDLE = "middle"
 BRANCH_UPPER = "upper"
 BRANCH_NO_STOP = "no-stop"
 
+# branch codes index the tags; object dtype makes a 0-d code give a plain str
+_FLOOR, _MIDDLE, _UPPER, _NO_STOP = range(4)
+_BRANCH_NAMES = np.array([BRANCH_FLOOR, BRANCH_MIDDLE, BRANCH_UPPER, BRANCH_NO_STOP], dtype=object)
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function.
+
+def _scalar_or_array(out):
+    """A ``float`` for a 0-d result, the array itself otherwise."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def std_normal_cdf(x):
+    """Standard normal CDF, elementwise (``scipy.special.ndtr``).
 
     Double-precision accurate (absolute error well under 1e-15) and saturates
     cleanly to 0 and 1 in the tails, including at infinite arguments.
     """
-    return 0.5 * math.erfc(-x / _SQRT2)
+    return _scalar_or_array(ndtr(x))
 
 
 @dataclass(frozen=True)
@@ -92,13 +101,13 @@ class ShorthandContext:
 
 @dataclass(frozen=True)
 class CdfQuery:
-    """Point query of a gain CDF: level ``x`` at horizon ``t > 0``."""
+    """Query of a gain CDF: level ``x`` (a float or an ndarray) at horizon ``t > 0``."""
 
-    x: float
+    x: float | np.ndarray
     t: float
 
     def __post_init__(self):
-        if not np.isfinite(self.x):
+        if not np.all(np.isfinite(self.x)):
             raise ParameterError(f"x must be finite (got {self.x})")
         if not (np.isfinite(self.t) and self.t > 0):
             raise ParameterError(f"t must be > 0 (got {self.t})")
@@ -106,19 +115,19 @@ class CdfQuery:
 
 @dataclass(frozen=True)
 class CdfValue:
-    """Probability together with the branch of the piecewise law used."""
+    """Probability and the branch of the piecewise law used; arrays for an array query."""
 
-    p: float
-    branch: str
+    p: float | np.ndarray
+    branch: str | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
+        if not np.all((self.p >= 0.0) & (self.p <= 1.0)):
             raise ParameterError(f"p must lie in [0, 1] (got {self.p})")
 
 
-def _phi_at_log(ctx: ShorthandContext, log_z: float, t: float) -> float:
+def _phi_at_log(ctx: ShorthandContext, log_z, t):
     """Normal CDF of ``(log_z + drift_rate * t) / (sigma * sqrt(t))``."""
-    return std_normal_cdf((log_z + ctx.drift_rate * t) / (ctx.market.sigma * math.sqrt(t)))
+    return ndtr((log_z + ctx.drift_rate * t) / (ctx.market.sigma * np.sqrt(t)))
 
 
 def big_x(z: float, t: float, ctx: ShorthandContext) -> float:
@@ -130,7 +139,7 @@ def big_x(z: float, t: float, ctx: ShorthandContext) -> float:
     return (math.log(z) + ctx.drift_rate * t) / (ctx.market.sigma * math.sqrt(t))
 
 
-def a_of_x(x: float, ctx: ShorthandContext) -> float:
+def a_of_x(x, ctx: ShorthandContext):
     """Time at which the stopped-gain level curve reaches ``x`` (k != 1).
 
     Inverts ``g_star_t``: the result ``A`` satisfies ``g_star_t(A) == x``.
@@ -140,16 +149,17 @@ def a_of_x(x: float, ctx: ShorthandContext) -> float:
     tr, m = ctx.trade, ctx.market
     if tr.k == 1:
         raise RegimeError("a_of_x is undefined for k = 1 (the level curve is flat)")
-    if not x > -tr.u0 / tr.k:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > -tr.u0 / tr.k):
         raise DomainError(f"x must exceed -u0/k = {-tr.u0 / tr.k} (got {x})")
-    log_arg = tr.k * ctx.log_s0_over_star + math.log1p(tr.k * x / tr.u0)
-    return -2.0 * log_arg / (m.sigma**2 * tr.k * (tr.k - 1.0))
+    log_arg = tr.k * ctx.log_s0_over_star + np.log1p(tr.k * x / tr.u0)
+    return _scalar_or_array(-2.0 * log_arg / (m.sigma**2 * tr.k * (tr.k - 1.0)))
 
 
-def _log_b(x: float, t: float, ctx: ShorthandContext) -> float:
+def _log_b(x, t, ctx: ShorthandContext):
     """log of the price level whose no-stop gain at time t equals x."""
     tr, m = ctx.trade, ctx.market
-    return (math.log1p(tr.k * x / tr.u0) - 0.5 * m.sigma**2 * (tr.k - tr.k**2) * t) / tr.k
+    return (np.log1p(tr.k * x / tr.u0) - 0.5 * m.sigma**2 * (tr.k - tr.k**2) * t) / tr.k
 
 
 def b_of_x_t(x: float, t: float, ctx: ShorthandContext) -> float:
@@ -173,26 +183,27 @@ def cdf_no_stop(q: CdfQuery, ctx: ShorthandContext) -> CdfValue:
     above it, one normal tail of the standardized terminal log price.
     """
     tr = ctx.trade
-    if q.x <= -tr.u0 / tr.k:
-        return CdfValue(0.0, BRANCH_FLOOR)
-    p = 1.0 - _phi_at_log(ctx, -_log_b(q.x, q.t, ctx), q.t)
-    return CdfValue(min(max(p, 0.0), 1.0), BRANCH_NO_STOP)
+    x = np.asarray(q.x, dtype=float)
+    floor = x <= -tr.u0 / tr.k
+    p = 1.0 - _phi_at_log(ctx, -_log_b(np.where(floor, 0.0, x), q.t, ctx), q.t)
+    p = np.where(floor, 0.0, np.clip(p, 0.0, 1.0))
+    return CdfValue(_scalar_or_array(p), _BRANCH_NAMES[np.where(floor, _FLOOR, _NO_STOP)])
 
 
-def omega(t: float, ctx: ShorthandContext) -> float:
+def omega(t, ctx: ShorthandContext):
     """Probability that the stop has not fired by time ``t``; ``omega(0) == 1``."""
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise DomainError(f"t must be >= 0 (got {t})")
-    if t == 0:
-        return 1.0
+    start = t == 0
+    t_pos = np.where(start, 1.0, t)
     log_ratio = ctx.log_s0_over_star
-    return _phi_at_log(ctx, log_ratio, t) - ctx.z_star * _phi_at_log(ctx, -log_ratio, t)
+    p = _phi_at_log(ctx, log_ratio, t_pos) - ctx.z_star * _phi_at_log(ctx, -log_ratio, t_pos)
+    return _scalar_or_array(np.where(start, 1.0, p))
 
 
-def stopping_time_cdf(t: float, ctx: ShorthandContext) -> float:
+def stopping_time_cdf(t, ctx: ShorthandContext):
     """CDF of the first time the price touches the stop level; 0 at ``t = 0``."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0 (got {t})")
     return 1.0 - omega(t, ctx)
 
 
@@ -208,22 +219,23 @@ def joint_survival(x_price: float, t: float, ctx: ShorthandContext) -> float:
     return _joint_survival_log(math.log(ctx.market.s0 / x_price), t, ctx)
 
 
-def _joint_survival_log(log_s0_over_x: float, t: float, ctx: ShorthandContext) -> float:
+def _joint_survival_log(log_s0_over_x, t, ctx: ShorthandContext):
     log_image = log_s0_over_x - 2.0 * ctx.log_s0_over_star
     p = _phi_at_log(ctx, log_s0_over_x, t) - ctx.z_star * _phi_at_log(ctx, log_image, t)
-    return min(max(p, 0.0), 1.0)
+    return _scalar_or_array(np.clip(p, 0.0, 1.0))
 
 
-def theta(x: float, t: float, ctx: ShorthandContext) -> float:
+def theta(x, t, ctx: ShorthandContext):
     """P(no stop by ``t`` and the no-stop gain at ``t`` is at least ``x``).
 
     The survivor-branch tail of the gain law: ``joint_survival`` evaluated at
     the price level whose gain equals ``x``.
     """
     tr = ctx.trade
-    if not x > -tr.u0 / tr.k:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > -tr.u0 / tr.k):
         raise DomainError(f"x must exceed -u0/k = {-tr.u0 / tr.k} (got {x})")
-    if not t > 0:
+    if not np.all(np.asarray(t) > 0):
         raise DomainError(f"t must be > 0 (got {t})")
     return _joint_survival_log(-_log_b(x, t, ctx), t, ctx)
 
@@ -234,46 +246,61 @@ def _junction(ctx: ShorthandContext) -> float:
     return (tr.u0 / tr.k) * math.expm1(-tr.k * ctx.log_s0_over_star)
 
 
-def joint_cdf_stopped(x: float, t: float, ctx: ShorthandContext) -> float:
+def _law_floor(ctx: ShorthandContext, t: float) -> float:
+    """Lowest gain at horizon ``t``: the k = 1 atom, else the level at and below which F is 0."""
+    tr, m = ctx.trade, ctx.market
+    regime = Regime.of(tr.k)
+    if regime is Regime.BUY_AND_HOLD:
+        return g_star(tr, m)
+    if regime is Regime.BOLD:
+        return g_star_t(tr, m, t)
+    return timid_floor(tr, m)
+
+
+def _joint_parts(x, t: float, ctx: ShorthandContext):
+    """Branch codes and the stopped and unstopped parts of the law at levels ``x`` (k != 1).
+
+    ``floor`` at and below the floor; ``middle`` on the band of stopped gains,
+    which ends at the junction for k > 1 and at the level curve ``g_star_t(t)``
+    for k < 1; ``upper`` beyond it, where all the stopped mass is in.
+    Survivors lie above the level curve for k > 1 and at or above it for
+    k < 1.  Each part is clipped to [0, 1].
+    """
+    tr = ctx.trade
+    regime = Regime.of(tr.k)
+    if regime is Regime.BUY_AND_HOLD:
+        raise RegimeError("the joint stopped/unstopped laws require k != 1")
+    if not t > 0:
+        raise DomainError(f"t must be > 0 (got {t})")
+    bold = regime is Regime.BOLD
+    x = np.asarray(x, dtype=float)
+    floor = _law_floor(ctx, t)
+    band_end = _junction(ctx) if bold else g_star_t(tr, ctx.market, t)
+    branch = np.where(x <= floor, _FLOOR, np.where(x < band_end, _MIDDLE, _UPPER))
+    omega_t = omega(t, ctx)
+
+    # a stop at time a freezes the gain at x; levels off the band are
+    # replaced by band_end, which every formula accepts
+    middle = branch == _MIDDLE
+    omega_a = omega(np.maximum(a_of_x(np.where(middle, x, band_end), ctx), 0.0), ctx)
+    band = omega_a - omega_t if bold else 1.0 - omega_a
+    stopped = np.clip(np.where(middle, band, 1.0 - omega_t), 0.0, 1.0)
+    stopped = np.where(branch == _FLOOR, 0.0, stopped)
+
+    survives = branch != _FLOOR if bold else branch == _UPPER
+    tail = theta(np.where(survives, x, band_end), t, ctx)
+    unstopped = np.where(survives, np.clip(omega_t - tail, 0.0, 1.0), 0.0)
+    return branch, stopped, unstopped
+
+
+def joint_cdf_stopped(x, t: float, ctx: ShorthandContext):
     """P(gain at ``t`` is <= ``x`` and the stop fired by ``t``), k != 1."""
-    tr, m = ctx.trade, ctx.market
-    regime = Regime.of(tr.k)
-    if regime is Regime.BUY_AND_HOLD:
-        raise RegimeError("joint_cdf_stopped requires k != 1")
-    if not t > 0:
-        raise DomainError(f"t must be > 0 (got {t})")
-    if regime is Regime.BOLD:
-        if x <= g_star_t(tr, m, t):
-            return 0.0
-        if x >= _junction(ctx):
-            return min(max(1.0 - omega(t, ctx), 0.0), 1.0)
-        a = max(a_of_x(x, ctx), 0.0)
-        return min(max(omega(a, ctx) - omega(t, ctx), 0.0), 1.0)
-    # timid: the stop loses money monotonically in its firing time
-    if x <= timid_floor(tr, m):
-        return 0.0
-    if x >= g_star_t(tr, m, t):
-        return min(max(stopping_time_cdf(t, ctx), 0.0), 1.0)
-    a = max(a_of_x(x, ctx), 0.0)
-    return min(max(stopping_time_cdf(a, ctx), 0.0), 1.0)
+    return _scalar_or_array(_joint_parts(x, t, ctx)[1])
 
 
-def joint_cdf_unstopped(x: float, t: float, ctx: ShorthandContext) -> float:
+def joint_cdf_unstopped(x, t: float, ctx: ShorthandContext):
     """P(gain at ``t`` is <= ``x`` and the stop never fired by ``t``), k != 1."""
-    tr, m = ctx.trade, ctx.market
-    regime = Regime.of(tr.k)
-    if regime is Regime.BUY_AND_HOLD:
-        raise RegimeError("joint_cdf_unstopped requires k != 1")
-    if not t > 0:
-        raise DomainError(f"t must be > 0 (got {t})")
-    level = g_star_t(tr, m, t)
-    if regime is Regime.BOLD:
-        if x <= level:
-            return 0.0
-    else:
-        if x < level:
-            return 0.0
-    return min(max(omega(t, ctx) - theta(x, t, ctx), 0.0), 1.0)
+    return _scalar_or_array(_joint_parts(x, t, ctx)[2])
 
 
 def cdf_with_stop(q: CdfQuery, ctx: ShorthandContext) -> CdfValue:
@@ -283,35 +310,19 @@ def cdf_with_stop(q: CdfQuery, ctx: ShorthandContext) -> CdfValue:
     the locked-in stop loss, then a reflected lognormal tail.  ``k > 1``: zero
     at and below the stop level curve, a stopped band up to the junction, then
     the survivor branch.  ``0 < k < 1``: zero at and below the hard floor, a
-    stopped band below the level curve, then the survivor branch.
+    stopped band below the level curve, then the survivor branch.  For
+    ``k != 1`` the value is the sum of the two joint laws.
     """
-    tr, m = ctx.trade, ctx.market
-    x, t = q.x, q.t
-    regime = Regime.of(tr.k)
-
-    if regime is Regime.BUY_AND_HOLD:
-        floor = g_star(tr, m)
-        if x < floor:
-            return CdfValue(0.0, BRANCH_FLOOR)
-        log_z = math.log(tr.u0) - math.log(x + tr.u0)
+    tr = ctx.trade
+    if tr.k != 1:
+        branch, stopped, unstopped = _joint_parts(q.x, q.t, ctx)
+        p = np.clip(stopped + unstopped, 0.0, 1.0)
+    else:
+        x = np.asarray(q.x, dtype=float)
+        floor = _law_floor(ctx, q.t)
+        branch = np.where(x < floor, _FLOOR, _UPPER)
+        log_z = math.log(tr.u0) - np.log(np.maximum(x, floor) + tr.u0)
         log_image = log_z - 2.0 * ctx.log_s0_over_star
-        p = 1.0 - _phi_at_log(ctx, log_z, t) + ctx.z_star * _phi_at_log(ctx, log_image, t)
-        return CdfValue(min(max(p, 0.0), 1.0), BRANCH_UPPER)
-
-    if regime is Regime.BOLD:
-        if x <= g_star_t(tr, m, t):
-            return CdfValue(0.0, BRANCH_FLOOR)
-        if x >= _junction(ctx):
-            p = 1.0 - theta(x, t, ctx)
-            return CdfValue(min(max(p, 0.0), 1.0), BRANCH_UPPER)
-        a = max(a_of_x(x, ctx), 0.0)
-        p = omega(a, ctx) - theta(x, t, ctx)
-        return CdfValue(min(max(p, 0.0), 1.0), BRANCH_MIDDLE)
-
-    if x <= timid_floor(tr, m):
-        return CdfValue(0.0, BRANCH_FLOOR)
-    if x < g_star_t(tr, m, t):
-        a = max(a_of_x(x, ctx), 0.0)
-        return CdfValue(min(max(stopping_time_cdf(a, ctx), 0.0), 1.0), BRANCH_MIDDLE)
-    p = 1.0 - theta(x, t, ctx)
-    return CdfValue(min(max(p, 0.0), 1.0), BRANCH_UPPER)
+        p = 1.0 - _phi_at_log(ctx, log_z, q.t) + ctx.z_star * _phi_at_log(ctx, log_image, q.t)
+        p = np.where(branch == _FLOOR, 0.0, np.clip(p, 0.0, 1.0))
+    return CdfValue(_scalar_or_array(p), _BRANCH_NAMES[branch])

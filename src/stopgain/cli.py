@@ -39,35 +39,22 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# converters for config-file values; set_defaults() skips argparse's type=
-_CONFIG_TYPES = {
-    "mu": float,
-    "sigma": float,
-    "s0": float,
-    "sstar": float,
-    "u0": float,
-    "k": float,
-    "v0": float,
-    "t": float,
-    "x": float,
-    "xmin": float,
-    "xmax": float,
-    "gate": float,
-    "points": int,
-    "paths": int,
-    "steps": int,
-    "seed": int,
-    "workers": int,
-    "no_stop": _parse_bool,
-    "with_no_stop": _parse_bool,
-    "bridge": _parse_bool,
-    "out": str,
-    "out_dir": str,
-}
+def _config_types(subparsers: dict) -> dict:
+    """Value parser per config key, one per optional flag (set_defaults() skips type=)."""
+    types = {}
+    for p in subparsers.values():
+        for action in p._actions:
+            if not action.option_strings or action.dest in ("config", "help"):
+                continue
+            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+                types[action.dest] = _parse_bool
+            else:
+                types[action.dest] = action.type or str
+    return types
 
 
-def _load_config(path: str) -> dict:
-    """Parse a key=value file into typed defaults; '#' starts a comment."""
+def _load_config(path: str, types: dict) -> dict:
+    """Parse a key=value file into defaults typed by ``types``; '#' starts a comment."""
     overrides = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -78,10 +65,10 @@ def _load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value (got {line!r})")
             key, value = line.split("=", 1)
             key = key.strip().lower().replace("-", "_")
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             try:
-                overrides[key] = _CONFIG_TYPES[key](value.strip())
+                overrides[key] = types[key](value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return overrides
@@ -282,14 +269,13 @@ def cmd_curve(args) -> int:
         print(f"error: points must be >= 2 (got {args.points})", file=sys.stderr)
         return EXIT_USAGE
     law = cdf_with_stop if tr.s_star is not None else cdf_no_stop
-    xs = np.linspace(args.xmin, args.xmax, args.points)
+    q = CdfQuery(np.linspace(args.xmin, args.xmax, args.points), args.t)
+    columns = [q.x, law(q, ctx).p]
+    if args.with_no_stop:
+        columns.append(cdf_no_stop(q, ctx).p)
     with _open_out(args.out) as f:
         f.write("x,F,F0\n" if args.with_no_stop else "x,F\n")
-        for x in xs:
-            row = f"{x:.17g},{law(CdfQuery(float(x), args.t), ctx).p:.17g}"
-            if args.with_no_stop:
-                row += f",{cdf_no_stop(CdfQuery(float(x), args.t), ctx).p:.17g}"
-            f.write(row + "\n")
+        np.savetxt(f, np.column_stack(columns), fmt="%.17g", delimiter=",")
     return EXIT_OK
 
 
@@ -365,9 +351,8 @@ def cmd_figure(args) -> int:
     columns = ["x", "F0_theory", "F_theory", "F0_empirical", "F_empirical"]
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(columns) + "\n")
-        data = [result.dataset[c] for c in columns]
-        for row in zip(*data):
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        data = np.column_stack([result.dataset[c] for c in columns])
+        np.savetxt(f, data, fmt="%.17g", delimiter=",")
 
     stop_ok = result.report.sup_distance <= args.gate
     free_ok = result.no_stop_report.sup_distance <= args.gate
@@ -390,7 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config is not None:
         try:
-            overrides = _load_config(args.config)
+            overrides = _load_config(args.config, _config_types(subparsers))
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -263,10 +263,12 @@ class TrajectoryStats:
 
     min_account_value: float = math.inf
     min_active_investment: float = math.inf
+    # always 0.0: the simulator itself sets u = 0 from the stop on, so the
+    # stopped half of the long-only property holds by construction
     max_abs_stopped_investment: float = 0.0
     max_bound_excess: float = -math.inf
     survivability_violations: int = 0  # steps with v < 0
-    long_only_violations: int = 0  # active steps with u <= 0, stopped steps with u != 0
+    long_only_violations: int = 0  # active steps with u <= 0
     control_bound_violations: int = 0  # steps with a positive excess
 
     def merge(self, other: "TrajectoryStats") -> "TrajectoryStats":
@@ -363,10 +365,9 @@ def _trajectory_stats(tr, m, grid, log_rel, stop_idx, frozen):
             np.copyto(g, frozen[rows, None], where=stopped)
         u = tr.u0 + tr.k * g
         u[stopped] = 0.0
-        long_only = np.count_nonzero((u <= 0) & active) + np.count_nonzero((u != 0) & stopped)
+        long_only = np.count_nonzero((u <= 0) & active)
         min_u_active = np.min(u, where=active, initial=math.inf)
         np.abs(u, out=u)
-        max_abs_u_stopped = np.max(u, where=stopped, initial=0.0)
         v = g  # the account value v0 + g, in place of g
         v += tr.v0
         min_v = v.min()
@@ -377,7 +378,7 @@ def _trajectory_stats(tr, m, grid, log_rel, stop_idx, frozen):
         excess -= v
         stats = stats.merge(
             TrajectoryStats(
-                float(min_v), float(min_u_active), float(max_abs_u_stopped), float(excess.max()),
+                float(min_v), float(min_u_active), 0.0, float(excess.max()),
                 int(survivability), int(long_only), int(np.count_nonzero(excess > 0)),
             )
         )

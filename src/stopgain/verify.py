@@ -13,18 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cdf import CdfQuery, ShorthandContext, cdf_no_stop, cdf_with_stop
+from .cdf import CdfQuery, ShorthandContext, _law_floor, cdf_no_stop, cdf_with_stop
 from .errors import EmptySampleError, ParameterError
-from .model import (
-    MarketParams,
-    Regime,
-    TradeSpec,
-    check_survivability,
-    expected_gain_lower_bound,
-    g_star,
-    g_star_t,
-    timid_floor,
-)
+from .model import MarketParams, TradeSpec, check_survivability, expected_gain_lower_bound
 from .simulate import BatchResult, PathGrid, run_batch
 
 __all__ = [
@@ -97,13 +88,16 @@ class ComparisonReport:
 
 
 def compare(
-    e: EmpiricalCdf, theory: Callable[[float], float], grid, metadata: dict | None = None
+    e: EmpiricalCdf, theory: Callable[[np.ndarray], np.ndarray], grid, metadata: dict | None = None
 ) -> ComparisonReport:
-    """Evaluate both CDFs on ``grid`` and report residuals and sup-distance."""
+    """Evaluate both CDFs on ``grid`` and report residuals and sup-distance.
+
+    ``theory`` is called once, on the whole grid; a scalar result is broadcast.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptySampleError("comparison grid must not be empty")
-    theory_vals = np.array([theory(float(x)) for x in grid])
+    theory_vals = np.full(grid.shape, theory(grid), dtype=float)
     empirical_vals = e.evaluate(grid)
     residual = empirical_vals - theory_vals
     return ComparisonReport(
@@ -117,19 +111,9 @@ def compare(
     )
 
 
-def _regime_floor(ctx: ShorthandContext, t_end: float) -> float:
-    tr, m = ctx.trade, ctx.market
-    regime = Regime.of(tr.k)
-    if regime is Regime.BUY_AND_HOLD:
-        return g_star(tr, m)
-    if regime is Regime.BOLD:
-        return g_star_t(tr, m, t_end)
-    return timid_floor(tr, m)
-
-
 def _quantile(ctx: ShorthandContext, t_end: float, q: float) -> float:
     """Invert the stop-protected gain CDF at probability ``q`` by bisection."""
-    lo = _regime_floor(ctx, t_end)
+    lo = _law_floor(ctx, t_end)
     hi = lo + max(1.0, abs(lo)) * ctx.trade.u0 / ctx.trade.k
     for _ in range(200):
         if cdf_with_stop(CdfQuery(hi, t_end), ctx).p >= q:
@@ -150,7 +134,7 @@ def comparison_grid(ctx: ShorthandContext, t_end: float, n_points: int = 512) ->
     The exact floor value is always one of the abscissae so atoms sitting on
     it show up in datasets and comparisons.
     """
-    floor = _regime_floor(ctx, t_end)
+    floor = _law_floor(ctx, t_end)
     lo = floor - 0.05 * ctx.trade.u0 / ctx.trade.k
     hi = _quantile(ctx, t_end, 0.999)
     return np.union1d(np.linspace(lo, hi, n_points), [floor])
@@ -313,7 +297,10 @@ def property_suite(
         Account value ``v0 + g`` never negative, provided ``u0 <= k * v0``;
         reported as skipped when that precondition does not hold.
     long_only
-        Investment strictly positive before the stop, exactly zero from it.
+        Investment strictly positive before the stop.  It is exactly zero
+        from the stop on by construction (the simulator sets it so), so only
+        the active half is tested; ``max_abs_stopped_investment`` is always
+        0.0.
     control_bound
         ``|u| <= u0 + k*v0 + k*v`` at every grid time of every path.
     lower_bound

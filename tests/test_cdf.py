@@ -28,12 +28,14 @@ from stopgain.cdf import (
     joint_cdf_unstopped,
     joint_survival,
     omega,
+    _junction,
     std_normal_cdf,
     stopping_time_cdf,
     theta,
 )
 from stopgain.errors import DomainError, ParameterError, RegimeError
-from stopgain.model import MarketParams, TradeSpec, g_star_t, timid_floor
+from stopgain.model import MarketParams, TradeSpec, g_star, g_star_t, timid_floor
+from stopgain.verify import comparison_grid
 
 DEMO = MarketParams(mu=0.5, sigma=1.0, s0=1.0)
 
@@ -457,3 +459,59 @@ class TestLimitsAndStress:
         for ctx in (CTX1, CTX2, CTX05):
             assert cdf_with_stop(CdfQuery(-0.01, 1e-9), ctx).p < 1e-10
             assert cdf_with_stop(CdfQuery(0.01, 1e-9), ctx).p > 1.0 - 1e-10
+
+
+def _boundary_points(ctx, t):
+    """Every level a branch test compares against, with both float neighbours."""
+    tr = ctx.trade
+    points = [g_star_t(tr, DEMO, t), -tr.u0 / tr.k]
+    if tr.k == 1:
+        points.append(g_star(tr, DEMO))
+    else:
+        points.append(_junction(ctx))
+    if tr.k < 1:
+        points.append(timid_floor(tr, DEMO))
+    points = np.array(points)
+    return np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    def test_one_array_call_equals_scalar_calls(self, k, t):
+        ctx = ctx_for(k)
+        xs = np.concatenate([comparison_grid(ctx, t), _boundary_points(ctx, t)])
+        q = CdfQuery(xs, t)
+        for law in (cdf_with_stop, cdf_no_stop):
+            value = law(q, ctx)
+            scalar = [law(CdfQuery(float(x), t), ctx) for x in xs]
+            assert np.array_equal(value.p, [v.p for v in scalar])
+            assert list(value.branch) == [v.branch for v in scalar]
+        if k != 1:
+            for part in (joint_cdf_stopped, joint_cdf_unstopped):
+                assert np.array_equal(part(xs, t, ctx), [part(float(x), t, ctx) for x in xs])
+
+    @pytest.mark.parametrize("ctx", [CTX1, CTX2, CTX05], ids=["k1", "k2", "k0.5"])
+    def test_zero_dimensional_query_gives_float_and_str(self, ctx):
+        for law in (cdf_with_stop, cdf_no_stop):
+            value = law(CdfQuery(np.array(-0.3), 1.0), ctx)
+            assert type(value.p) is float and type(value.branch) is str
+            assert value == law(CdfQuery(-0.3, 1.0), ctx)
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("k", ["1", "2", "0.5"])
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    def test_array_call_matches_50_digit_law(self, k, t):
+        mp = pytest.importorskip("mpmath")
+        import make_reference_values as ref
+
+        law = ref.Closed(ref.MU, ref.SIGMA, ref.S0, ref.SSTAR, ref.U0, k)
+        ctx = ctx_for(float(k))
+        grid = comparison_grid(ctx, t)
+        xs = np.random.default_rng(20261018).uniform(grid[0], grid[-1], 64)
+        q = CdfQuery(xs, t)
+        for value, want in ((cdf_with_stop(q, ctx).p, law.cdf),
+                            (cdf_no_stop(q, ctx).p, law.cdf_no_stop)):
+            expected = [float(want(mp.mpf(x), mp.mpf(t))) for x in xs]
+            assert np.abs(value - expected).max() <= 1e-12
