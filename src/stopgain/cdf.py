@@ -89,14 +89,9 @@ class ShorthandContext:
     def has_stop(self) -> bool:
         return self.trade.s_star is not None
 
-    def _stop(self) -> float:
-        if self.trade.s_star is None:
-            raise ParameterError("operation requires a stop order but s_star is None")
-        return self.trade.s_star
-
     @property
     def log_s0_over_star(self) -> float:
-        return math.log(self.market.s0 / self._stop())
+        return math.log(self.market.s0 / require_stop(self.trade, self.market))
 
 
 @dataclass(frozen=True)

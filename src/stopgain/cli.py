@@ -19,7 +19,7 @@ from . import verify as _verify
 from .cdf import CdfQuery, ShorthandContext, cdf_no_stop, cdf_with_stop, stopping_time_cdf
 from .errors import StopgainError
 from .model import MarketParams, TradeSpec
-from .simulate import PathGrid, run_batch
+from .simulate import PathGrid, _check_batch_args, run_batch, write_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -187,22 +187,14 @@ def _build_trade(args) -> TradeSpec:
     return TradeSpec(u0=args.u0, k=args.k, v0=v0, s_star=s_star)
 
 
-def _resolved_config(args, tr: TradeSpec, sim: bool = False, grid: PathGrid | None = None) -> dict:
-    cfg = {
+def _resolved_config(args, tr: TradeSpec, grid: PathGrid) -> dict:
+    return {
         "mu": args.mu, "sigma": args.sigma, "s0": args.s0,
         "u0": tr.u0, "k": tr.k, "v0": tr.v0,
         "s_star": tr.s_star, "stop_enabled": tr.s_star is not None,
-        "t": args.t,
+        "t": args.t, "paths": args.paths, "steps": grid.n_steps, "seed": args.seed,
+        "bridge": args.bridge, "workers": args.workers,
     }
-    if sim:
-        cfg.update(
-            paths=args.paths,
-            steps=grid.n_steps,
-            seed=args.seed,
-            bridge=args.bridge,
-            workers=args.workers,
-        )
-    return cfg
 
 
 def _grid_from(args) -> PathGrid:
@@ -275,7 +267,7 @@ def cmd_curve(args) -> int:
         columns.append(cdf_no_stop(q, ctx).p)
     with _open_out(args.out) as f:
         f.write("x,F,F0\n" if args.with_no_stop else "x,F\n")
-        np.savetxt(f, np.column_stack(columns), fmt="%.17g", delimiter=",")
+        write_csv(f, columns)
     return EXIT_OK
 
 
@@ -297,6 +289,7 @@ def cmd_simulate(args) -> int:
     m = _build_market(args)
     tr = _build_trade(args)
     grid = _grid_from(args)
+    _check_batch_args(m, tr, grid, args.paths, args.seed, args.workers)  # before --out is touched
     with _open_out(args.out) as f:
         f.write("path_index,t_star,terminal_g\n")
         run_batch(
@@ -310,7 +303,7 @@ def cmd_verify(args) -> int:
     m = _build_market(args)
     tr = _build_trade(args)
     grid = _grid_from(args)
-    report = {"config": _resolved_config(args, tr, sim=True, grid=grid), "gate": args.gate}
+    report = {"config": _resolved_config(args, tr, grid), "gate": args.gate}
     ctx = ShorthandContext(m, tr)  # rejects a bad (market, trade) pair before any path is drawn
 
     # one batch feeds both the law comparison and the property legs
@@ -351,8 +344,7 @@ def cmd_figure(args) -> int:
     columns = ["x", "F0_theory", "F_theory", "F0_empirical", "F_empirical"]
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(columns) + "\n")
-        data = np.column_stack([result.dataset[c] for c in columns])
-        np.savetxt(f, data, fmt="%.17g", delimiter=",")
+        write_csv(f, [result.dataset[c] for c in columns])
 
     stop_ok = result.report.sup_distance <= args.gate
     free_ok = result.no_stop_report.sup_distance <= args.gate

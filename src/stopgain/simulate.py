@@ -15,13 +15,14 @@ separately keyed stream, so toggling it never perturbs the price paths.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError, ParameterError, ResourceError
-from .model import GainSample, MarketParams, TradeSpec, control_value, g_star_t, gain_no_stop
+from .errors import ParameterError, ResourceError
+from .model import GainSample, MarketParams, TradeSpec, control_value, g_star_t, gain_no_stop, require_stop
 
 __all__ = [
     "PathGrid",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_STEPS_PER_UNIT_TIME = 1024
+DEFAULT_MEMORY_BUDGET_MB = 512
 
 # smallest uniform fed to the inverse normal CDF; keeps increments finite
 _U_FLOOR = 2.0**-54
@@ -412,6 +414,27 @@ def _chunk_worker(args):
     return _simulate_chunk(*args)
 
 
+def _check_batch_args(m, tr, grid, n_paths, master_seed, n_workers, memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB):
+    """Reject a bad :func:`run_batch` request before any output is opened; return its chunk size."""
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ParameterError(f"n_paths must be an integer >= 1 (got {n_paths})")
+    SeedSpec(master_seed, 0)
+    if tr.s_star is not None:
+        require_stop(tr, m)
+    if not n_workers >= 1:
+        raise ParameterError(f"n_workers must be >= 1 (got {n_workers})")
+
+    # six float64 matrices of padded width is the peak working set per path
+    per_path_bytes = 8 * 4 * _counters_per_path(grid.n_steps) * 6
+    budget = int(memory_budget_mb) * 2**20
+    if per_path_bytes > budget:
+        raise ResourceError(
+            f"one path needs {per_path_bytes} bytes of working memory, over the "
+            f"{memory_budget_mb} MiB budget; raise the budget to stream this grid"
+        )
+    return max(1, min(int(n_paths), budget // per_path_bytes, 16384))
+
+
 def run_batch(
     m: MarketParams,
     tr: TradeSpec,
@@ -420,7 +443,7 @@ def run_batch(
     master_seed: int,
     bridge: bool = True,
     n_workers: int = 1,
-    memory_budget_mb: int = 512,
+    memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
     sink=None,
     free_gain: bool = False,
     trajectory: bool = False,
@@ -433,7 +456,10 @@ def run_batch(
     fine that a single path exceeds the budget raises :class:`ResourceError`.
     With a ``sink`` (writable text stream), rows ``path_index,t_star,gain``
     are also written in index order, with 17 significant digits and an empty
-    ``t_star`` field for paths that never stop.
+    ``t_star`` field for paths that never stop.  Rows are formatted a chunk
+    at a time as each chunk arrives; their bytes depend only on the seed and
+    the model, grid and trade arguments, not on ``n_workers`` or
+    ``memory_budget_mb``.
 
     Two extras come from the same pass, so no caller simulates the paths
     again: ``free_gain=True`` keeps each path's terminal gain without the
@@ -444,24 +470,7 @@ def run_batch(
     ``tr.s_star is None`` disables stop detection entirely: the result then
     holds always-active terminal gains and all-NaN stop times.
     """
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise ParameterError(f"n_paths must be an integer >= 1 (got {n_paths})")
-    SeedSpec(master_seed, 0)
-    if tr.s_star is not None and not 0 < tr.s_star < m.s0:
-        raise ParameterError(f"s_star must satisfy 0 < s_star < s0 (got s_star={tr.s_star}, s0={m.s0})")
-    if not n_workers >= 1:
-        raise ParameterError(f"n_workers must be >= 1 (got {n_workers})")
-
-    # six float64 matrices of padded width is the peak working set per path
-    per_path_bytes = 8 * 4 * _counters_per_path(grid.n_steps) * 6
-    budget = int(memory_budget_mb) * 2**20
-    if per_path_bytes > budget:
-        raise ResourceError(
-            f"one path needs {per_path_bytes} bytes of working memory, over the "
-            f"{memory_budget_mb} MiB budget; raise the budget to stream this grid"
-        )
-    chunk = max(1, min(int(n_paths), budget // per_path_bytes, 16384))
-
+    chunk = _check_batch_args(m, tr, grid, n_paths, master_seed, n_workers, memory_budget_mb)
     starts = list(range(0, int(n_paths), chunk))
     jobs = [
         (m, tr, grid, int(master_seed), s, min(chunk, int(n_paths) - s), bridge, trajectory)
@@ -472,9 +481,9 @@ def run_batch(
     free = np.empty(int(n_paths)) if free_gain else None
     stats = TrajectoryStats() if trajectory else None
 
-    def _collect(results):
-        nonlocal stats
-        for s, (term, st, fr, part) in zip(starts, results):
+    pool = ProcessPoolExecutor(max_workers=int(n_workers)) if n_workers > 1 and len(jobs) > 1 else None
+    with pool or nullcontext():
+        for s, (term, st, fr, part) in zip(starts, (pool.map if pool else map)(_chunk_worker, jobs)):
             terminal[s : s + len(term)] = term
             stop_time[s : s + len(st)] = st
             if free_gain:
@@ -483,18 +492,29 @@ def run_batch(
                 stats = stats.merge(part)
             if sink is not None:
                 _write_rows(sink, s, term, st)
-
-    if n_workers == 1 or len(jobs) == 1:
-        _collect(_chunk_worker(j) for j in jobs)
-    else:
-        with ProcessPoolExecutor(max_workers=int(n_workers)) as pool:
-            _collect(pool.map(_chunk_worker, jobs))
     return BatchResult(terminal_gain=terminal, stop_time=stop_time, free_gain=free, trajectory=stats)
 
 
 def _write_rows(sink, first_path, terminal, stop_time):
-    lines = []
-    for j in range(len(terminal)):
-        t_field = "" if np.isnan(stop_time[j]) else f"{stop_time[j]:.17g}"
-        lines.append(f"{first_path + j},{t_field},{terminal[j]:.17g}\n")
-    sink.write("".join(lines))
+    """CSV rows ``path_index,t_star,gain`` of one chunk; each distinct (grid) stop time is formatted once."""
+    times, which = np.unique(stop_time, return_inverse=True)
+    text = np.array(["" if math.isnan(t) else "%.17g" % t for t in times.tolist()], dtype=object)
+    index = np.arange(first_path, first_path + len(terminal))
+    write_csv(sink, [index, text[which], terminal], ("%d", "%s", "%.17g"))
+
+
+# Rows per block of write_csv: one % operation over a flat tuple formats a block
+# with the bytes of a per-field %, and keeps its text and tuple well under 1 MiB.
+_CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(sink, columns, formats=None):
+    """Write equal-length 1-d arrays to ``sink`` as CSV rows, ``%.17g`` per field unless ``formats``."""
+    n_cols = len(columns)
+    row = ",".join(formats or ["%.17g"] * n_cols) + "\n"
+    for first in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [col[first : first + _CSV_BLOCK_ROWS].tolist() for col in columns]
+        fields = [None] * (n_cols * len(block[0]))
+        for c, values in enumerate(block):
+            fields[c::n_cols] = values
+        sink.write(row * len(block[0]) % tuple(fields))

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes and config files."""
 
 import hashlib
+import io
 import json
 import math
 
@@ -10,6 +11,7 @@ from stopgain import cli, simulate, verify
 from stopgain.cdf import CdfQuery, ShorthandContext, cdf_with_stop
 from stopgain.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from stopgain.model import MarketParams, TradeSpec
+from stopgain.simulate import PathGrid, run_batch
 
 DEMO_EVAL = ["eval", "--sstar", "0.5", "--x", "-0.5"]
 
@@ -199,6 +201,59 @@ class TestSimulate:
         rc, _, err = run(capsys, ["simulate", "--sstar", "0.5", "--paths", "0"])
         assert rc == EXIT_USAGE
         assert "n_paths" in err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["--paths", "0"], ["--sstar", "2"], ["--seed", "-1"], ["--workers", "0"],
+         ["--steps", "20000000"]],  # one path over the default memory budget
+    )
+    def test_failed_run_leaves_out_alone(self, capsys, tmp_path, bad):
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_bytes(b"earlier output\n")
+        for out in (kept, fresh):
+            rc, _, err = run(capsys, self.ARGS + bad + ["--out", str(out)])
+            assert rc == EXIT_USAGE
+            assert err.startswith("error:")
+        assert kept.read_bytes() == b"earlier output\n"
+        assert not fresh.exists()
+
+
+# SHA-256 of seeded `simulate` CSVs as the per-row formatter wrote them.  20000
+# paths of 16 steps make two chunks of the default budget, so the two-worker
+# run really uses two processes and gives the one-worker bytes.
+SIMULATE_ARGS = ["simulate", "--sstar", "0.5", "--k", "2", "--paths", "20000", "--steps", "16",
+                 "--seed", "7"]
+PINNED_SIMULATE_SHA256 = {
+    "stop": "9602de70053fa11ee55fbabc2e7016291f3c4759344ca660844102c1fc4269f0",
+    "no_stop": "3ebf807f027fd3885f22292cbd86ba77c337e9ca43bab05fdc15d7525faa00df",
+    "no_bridge": "bccacb89965f2047cf14f0b85bff594a4dd412755231630fdb6b899a2cf174b4",
+}
+# the run_batch sink of 3000 paths of 64 steps at seed 11 in 341-path chunks
+PINNED_SINK_SHA256 = "428c4e0aaa44aeb66dad8a97fa74028d237ad97317c17ea483f66e5737cf5f9d"
+
+
+class TestSimulateBytes:
+    @pytest.mark.parametrize(
+        "case,extra",
+        [("stop", []), ("no_stop", ["--no-stop"]), ("no_bridge", ["--no-bridge"]),
+         ("stop", ["--workers", "2"])],
+    )
+    def test_cli_csv(self, capsys, tmp_path, case, extra):
+        out = tmp_path / "sim.csv"
+        assert main(SIMULATE_ARGS + extra + ["--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == PINNED_SIMULATE_SHA256[case]
+        if case == "no_stop":
+            assert all(line.split(b",")[1] == b"" for line in data.splitlines()[1:])
+
+    def test_run_batch_sink_across_chunks(self):
+        sink = io.StringIO()
+        m = MarketParams(mu=0.5, sigma=1.0, s0=1.0)
+        tr = TradeSpec(u0=1.0, k=2.0, v0=0.5, s_star=0.5)
+        batch = run_batch(m, tr, PathGrid(1.0, 64), 3000, 11, memory_budget_mb=1, sink=sink)
+        assert batch.terminal_gain.size == 3000
+        assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == PINNED_SINK_SHA256
 
 
 class TestConfigFile:

@@ -12,15 +12,18 @@ from stopgain.cdf import ShorthandContext, stopping_time_cdf
 from stopgain.errors import ParameterError, ResourceError
 from stopgain.model import MarketParams, TradeSpec, g_star_t, gain_no_stop
 from stopgain.simulate import (
+    _CSV_BLOCK_ROWS,
     PathGrid,
     PricePath,
     SeedSpec,
     TrajectoryStats,
     _chunk_paths,
+    _write_rows,
     detect_stop,
     gain_trajectory,
     run_batch,
     sample_path,
+    write_csv,
 )
 
 DEMO = MarketParams(mu=0.5, sigma=1.0, s0=1.0)
@@ -400,3 +403,48 @@ class TestTrajectoryStats:
                               memory_budget_mb=budget_mb, free_gain=True)
             assert batch.stopped.any()
             assert np.array_equal(batch.free_gain, free.terminal_gain)
+
+
+def _rows_reference(first_path, terminal, stop_time):
+    """The per-row f-string formatter the block writer replaced."""
+    lines = []
+    for j in range(len(terminal)):
+        t_field = "" if np.isnan(stop_time[j]) else f"{stop_time[j]:.17g}"
+        lines.append(f"{first_path + j},{t_field},{terminal[j]:.17g}\n")
+    return "".join(lines)
+
+
+SPECIAL = [-0.0, 5e-324, -5e-324, 1e22, -1e22, math.inf, -math.inf, math.nan, 0.1, 1 / 3,
+           2.0**-1074 * 3, 1.7976931348623157e308]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n_cols", [1, 2, 5])
+    def test_matches_savetxt_and_per_field_format(self, n, n_cols):
+        rng = np.random.default_rng(n * 10 + n_cols)
+        data = rng.standard_normal((n, n_cols)) * 10.0 ** rng.integers(-300, 300, (n, n_cols))
+        data.flat[: len(SPECIAL)] = SPECIAL[: data.size]
+        sink, ref = io.StringIO(), io.StringIO()
+        write_csv(sink, [data[:, c] for c in range(n_cols)])
+        np.savetxt(ref, data, fmt="%.17g", delimiter=",")
+        # compared as lists of lines: a failure then names the first bad row
+        # instead of diffing a few hundred KiB of text
+        lines = sink.getvalue().splitlines(keepends=True)
+        assert lines == ref.getvalue().splitlines(keepends=True)
+        assert lines == [",".join(f"{v:.17g}" for v in row) + "\n" for row in data]
+
+    @pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("first_path", [0, 2**31 + 7, 2**40 - 3])
+    def test_batch_rows_match_per_row_reference(self, n, first_path):
+        rng = np.random.default_rng(n)
+        terminal = rng.standard_normal(n)
+        terminal[: len(SPECIAL)] = SPECIAL[:n]
+        # grid-like stop times with NaN for paths that never stopped; no +0.0
+        # beside the -0.0 of SPECIAL, since a stop time is never 0
+        stop_time = np.where(rng.random(n) < 0.5, rng.integers(1, 65, n) / 64, np.nan)
+        stop_time[-len(SPECIAL) :] = SPECIAL[-n:]
+        sink = io.StringIO()
+        _write_rows(sink, first_path, terminal, stop_time)
+        want = _rows_reference(first_path, terminal, stop_time)
+        assert sink.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
