@@ -37,7 +37,6 @@ from .errors import (
     StopgainError,
 )
 from .model import (
-    GainSample,
     MarketParams,
     Regime,
     TradeSpec,
@@ -46,6 +45,7 @@ from .model import (
     expected_gain_lower_bound,
     g_star,
     g_star_t,
+    gain,
     gain_no_stop,
     gain_stopped,
     timid_floor,
@@ -54,14 +54,10 @@ from .model import (
 from .simulate import (
     BatchResult,
     PathGrid,
-    PricePath,
-    SeedSpec,
-    StoppedPath,
+    PathTrajectory,
     TrajectoryStats,
-    detect_stop,
-    gain_trajectory,
+    path_trajectory,
     run_batch,
-    sample_path,
 )
 from .verify import (
     ComparisonReport,
@@ -94,11 +90,11 @@ __all__ = [
     "MarketParams",
     "TradeSpec",
     "Regime",
-    "GainSample",
     "z_star",
     "g_star",
     "g_star_t",
     "timid_floor",
+    "gain",
     "gain_no_stop",
     "gain_stopped",
     "control_value",
@@ -126,14 +122,10 @@ __all__ = [
     "cdf_with_stop",
     # simulate
     "PathGrid",
-    "PricePath",
-    "StoppedPath",
-    "SeedSpec",
+    "PathTrajectory",
     "BatchResult",
     "TrajectoryStats",
-    "sample_path",
-    "detect_stop",
-    "gain_trajectory",
+    "path_trajectory",
     "run_batch",
     # verify
     "EmpiricalCdf",

@@ -237,8 +237,7 @@ def theta(x, t, ctx: ShorthandContext):
 
 def _junction(ctx: ShorthandContext) -> float:
     """Gain level where the stopped band meets the survivor band (k != 1)."""
-    tr = ctx.trade
-    return (tr.u0 / tr.k) * math.expm1(-tr.k * ctx.log_s0_over_star)
+    return g_star_t(ctx.trade, ctx.market, 0.0)
 
 
 def _law_floor(ctx: ShorthandContext, t: float) -> float:

@@ -334,12 +334,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
     result = _verify.reproduce_figure(
         args.which, n_paths=args.paths, master_seed=args.seed,
         n_steps=args.steps, n_workers=args.workers, bridge=args.bridge,
     )
+    # created only once the arguments are accepted, so a rejected run leaves no directory
+    out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"figure{args.which}.csv")
     columns = ["x", "F0_theory", "F_theory", "F0_empirical", "F_empirical"]
     with open(csv_path, "w", encoding="utf-8", newline="") as f:

@@ -7,6 +7,7 @@ builds on the gain expressions defined here.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,11 @@ __all__ = [
     "MarketParams",
     "TradeSpec",
     "Regime",
-    "GainSample",
     "z_star",
     "g_star",
     "g_star_t",
     "timid_floor",
+    "gain",
     "gain_no_stop",
     "gain_stopped",
     "control_value",
@@ -123,16 +124,6 @@ class Regime(enum.Enum):
         return cls.BOLD if k > 1 else cls.TIMID
 
 
-@dataclass(frozen=True)
-class GainSample:
-    """One point of a simulated trajectory: time, gain, investment, account."""
-
-    t: float
-    g: float
-    u: float
-    v: float
-
-
 def z_star(m: MarketParams, tr: TradeSpec) -> float:
     """Reflection weight ``(s_star/s0)**(2*mu/sigma**2 - 1)``.
 
@@ -151,16 +142,28 @@ def z_star(m: MarketParams, tr: TradeSpec) -> float:
         ) from None
 
 
+def gain(tr: TradeSpec, m: MarketParams, log_rel, t):
+    """Gain ``(u0/k) expm1(k log_rel + sigma**2 (k - k**2) t / 2)`` of the active rule.
+
+    ``log_rel`` is the log price ratio ``ln(S_t/s0)`` at time ``t``; at the
+    stop level it gives the gain frozen by a stop at ``t``.  This is the one
+    place the gain map is written: the closed forms and the simulator all
+    evaluate it here.  Unchecked and vectorized; the public wrappers below
+    validate their arguments.
+    """
+    half = 0.5 * m.sigma**2 * (tr.k - tr.k**2)
+    return (tr.u0 / tr.k) * np.expm1(tr.k * log_rel + half * t)
+
+
 def g_star(tr: TradeSpec, m: MarketParams) -> float:
     """Gain locked in when the stop fires under pure buy-and-hold (k = 1)."""
-    s_star = require_stop(tr, m)
-    return tr.u0 * (s_star / m.s0 - 1.0)
+    return g_star_t(tr, m, 0.0)
 
 
 def g_star_t(tr: TradeSpec, m: MarketParams, t):
     """Gain locked in when the stop fires at time ``t``.
 
-    Evaluates ``(u0/k) * ((s_star/s0)**k * exp(sigma**2*(k - k**2)*t/2) - 1)``.
+    :func:`gain` at the stop level: (u0/k) ((s_star/s0)^k e^(sigma^2 (k - k^2) t/2) - 1).
     Decreasing in ``t`` for ``k > 1``, increasing for ``k < 1`` and constant
     at ``g_star`` for ``k = 1``.  Vectorized over ``t``.
     """
@@ -168,8 +171,7 @@ def g_star_t(tr: TradeSpec, m: MarketParams, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("t must be >= 0")
-    ratio_pow = (s_star / m.s0) ** tr.k
-    out = (tr.u0 / tr.k) * (ratio_pow * np.exp(0.5 * m.sigma**2 * (tr.k - tr.k**2) * t) - 1.0)
+    out = gain(tr, m, math.log(s_star / m.s0), t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -181,8 +183,7 @@ def timid_floor(tr: TradeSpec, m: MarketParams) -> float:
     """
     if Regime.of(tr.k) is not Regime.TIMID:
         raise RegimeError(f"timid_floor requires 0 < k < 1 (got k={tr.k})")
-    s_star = require_stop(tr, m)
-    return (tr.u0 / tr.k) * ((s_star / m.s0) ** tr.k - 1.0)
+    return g_star_t(tr, m, 0.0)
 
 
 def gain_no_stop(tr: TradeSpec, m: MarketParams, s_t, t):
@@ -200,7 +201,8 @@ def gain_no_stop(tr: TradeSpec, m: MarketParams, s_t, t):
     Returns
     -------
     float or ndarray
-        ``(u0/k) * ((s_t/s0)**k * exp(sigma**2*(k - k**2)*t/2) - 1)``.
+        (u0/k) ((s_t/s0)^k e^(sigma^2 (k - k^2) t/2) - 1), evaluated by
+        :func:`gain`.
     """
     s_t = np.asarray(s_t, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -208,9 +210,7 @@ def gain_no_stop(tr: TradeSpec, m: MarketParams, s_t, t):
         raise DomainError("s_t must be > 0")
     if np.any(t < 0):
         raise DomainError("t must be >= 0")
-    out = (tr.u0 / tr.k) * (
-        np.exp(tr.k * np.log(s_t / m.s0) + 0.5 * m.sigma**2 * (tr.k - tr.k**2) * t) - 1.0
-    )
+    out = gain(tr, m, np.log(s_t / m.s0), t)
     return float(out) if out.ndim == 0 else out
 
 

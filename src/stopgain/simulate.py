@@ -22,18 +22,14 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ParameterError, ResourceError
-from .model import GainSample, MarketParams, TradeSpec, control_value, g_star_t, gain_no_stop, require_stop
+from .model import MarketParams, TradeSpec, gain, require_stop
 
 __all__ = [
     "PathGrid",
-    "PricePath",
-    "StoppedPath",
-    "SeedSpec",
+    "PathTrajectory",
     "BatchResult",
     "TrajectoryStats",
-    "sample_path",
-    "detect_stop",
-    "gain_trajectory",
+    "path_trajectory",
     "run_batch",
 ]
 
@@ -71,58 +67,12 @@ class PathGrid:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class PricePath:
-    """Sampled price trajectory: ``prices[i]`` at ``times[i]``, ``prices[0] = s0``."""
-
-    times: np.ndarray
-    prices: np.ndarray
-
-    def __post_init__(self):
-        if self.times.shape != self.prices.shape or self.times.ndim != 1:
-            raise ParameterError("times and prices must be 1-d arrays of equal length")
-        if not np.all(np.diff(self.times) > 0):
-            raise ParameterError("times must be strictly increasing")
-        if not np.all(self.prices > 0):
-            raise ParameterError("prices must be positive")
-
-
-@dataclass(frozen=True)
-class StoppedPath:
-    """A price path with its stop outcome applied.
-
-    ``t_star`` is the detected stop time (``None`` if the barrier was never
-    touched), ``stop_index`` the grid index it corresponds to, and
-    ``stopped_prices`` the path with the price frozen at the stop level from
-    that index on.
-    """
-
-    base: PricePath
-    t_star: float | None
-    stop_index: int | None
-    stopped_prices: np.ndarray
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Addresses one path's random streams; see the module docstring."""
-
-    master_seed: int
-    path_index: int
-
-    def __post_init__(self):
-        if not (isinstance(self.master_seed, (int, np.integer)) and 0 <= self.master_seed < 2**64):
-            raise ParameterError(f"master_seed must be an integer in [0, 2**64) (got {self.master_seed})")
-        if not (isinstance(self.path_index, (int, np.integer)) and self.path_index >= 0):
-            raise ParameterError(f"path_index must be a non-negative integer (got {self.path_index})")
-
-    def price_uniforms(self, n_steps: int) -> np.ndarray:
-        key_price, _ = _stream_keys(self.master_seed)
-        return _block_uniforms(key_price, self.path_index, 1, n_steps)[0]
-
-    def bridge_uniforms(self, n_steps: int) -> np.ndarray:
-        _, key_bridge = _stream_keys(self.master_seed)
-        return _block_uniforms(key_bridge, self.path_index, 1, n_steps)[0]
+def _check_stream(master_seed, path_index):
+    """Reject a master seed or path index that addresses no stream; see the module docstring."""
+    if not (isinstance(master_seed, (int, np.integer)) and 0 <= master_seed < 2**64):
+        raise ParameterError(f"master_seed must be an integer in [0, 2**64) (got {master_seed})")
+    if not (isinstance(path_index, (int, np.integer)) and path_index >= 0):
+        raise ParameterError(f"path_index must be a non-negative integer (got {path_index})")
 
 
 def _stream_keys(master_seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,56 +100,16 @@ def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     return ndtri(np.maximum(u, _U_FLOOR))
 
 
-def sample_path(m: MarketParams, grid: PathGrid, seed: SeedSpec) -> PricePath:
-    """Draw one exact-lognormal path on the grid.
-
-    Each step multiplies the price by
-    ``exp((mu - sigma**2/2) dt + sigma sqrt(dt) Z)`` with ``Z`` standard
-    normal, which is the exact transition of the price model.
-    """
-    z = _normals_from_uniforms(seed.price_uniforms(grid.n_steps))
-    increments = m.drift_rate * grid.dt + m.sigma * math.sqrt(grid.dt) * z
-    log_rel = np.concatenate([[0.0], np.cumsum(increments)])
-    return PricePath(times=grid.times, prices=m.s0 * np.exp(log_rel))
-
-
-def detect_stop(
-    p: PricePath, s_star: float, m: MarketParams, bridge: bool, seed: SeedSpec
-) -> StoppedPath:
-    """Find the first barrier touch on a path and freeze the price from it.
-
-    Grid detection uses ``price <= s_star``.  With ``bridge`` enabled, a
-    crossing between two above-barrier grid points is additionally sampled
-    with the Brownian-bridge probability
-    ``exp(-2 ln(S_i/s_star) ln(S_{i+1}/s_star) / (sigma**2 dt))``; sampled
-    crossings are recorded at the interval's right endpoint.  Discrete
-    monitoring alone undercounts crossings, the bridge removes that bias.
-    """
-    if not 0 < s_star < p.prices[0]:
-        raise ParameterError(f"s_star must satisfy 0 < s_star < prices[0] (got {s_star})")
-    n = len(p.prices) - 1
-    log_rel = np.log(p.prices / p.prices[0])
-    log_bar = math.log(s_star / p.prices[0])
-    dts = np.diff(p.times)
-    uniforms = seed.bridge_uniforms(n) if bridge else None
-    stop_idx = _first_touch(
-        log_rel[None, 1:], log_bar, m.sigma, dts[None, :],
-        uniforms[None, :] if uniforms is not None else None,
-    )[0]
-    if stop_idx > n:
-        return StoppedPath(base=p, t_star=None, stop_index=None, stopped_prices=p.prices.copy())
-    stopped = p.prices.copy()
-    stopped[stop_idx:] = s_star
-    return StoppedPath(
-        base=p, t_star=float(p.times[stop_idx]), stop_index=int(stop_idx), stopped_prices=stopped
-    )
-
-
-def _first_touch(log_rel, log_bar, sigma, dts, uniforms):
+def _first_touch(log_rel, log_bar, sigma, dt, uniforms):
     """First stop index per row, in [1, n]; n+1 when never touched.
 
-    ``log_rel``: (b, n) log prices relative to the start, excluding time 0.
+    ``log_rel``: (b, n) log prices relative to the start, excluding time 0,
+    on a grid of step ``dt``; a grid point at or below ``log_bar`` is a touch.
     ``uniforms``: (b, n) bridge draws, or None to disable the correction.
+    With the bridge, a crossing between two grid points above the barrier is
+    sampled with the Brownian-bridge probability
+    ``exp(-2 ln(S_i/s_star) ln(S_{i+1}/s_star) / (sigma**2 dt))`` and stamped
+    at the interval's right endpoint, so it only ever adds earlier stops.
     The bridge arithmetic runs in place and every temporary is dropped as
     soon as it is spent, so the peak stays inside the per-path estimate of
     :func:`run_batch`.
@@ -218,7 +128,7 @@ def _first_touch(log_rel, log_bar, sigma, dts, uniforms):
     with np.errstate(over="ignore"):
         p_cross = -2.0 * lhs
         p_cross *= rhs
-        p_cross /= sigma**2 * dts
+        p_cross /= sigma**2 * dt
         np.exp(p_cross, out=p_cross)
     bridge_hit = lhs > 0
     del lhs
@@ -228,27 +138,6 @@ def _first_touch(log_rel, log_bar, sigma, dts, uniforms):
     any_bridge = bridge_hit.any(axis=1)
     first_bridge = np.where(any_bridge, bridge_hit.argmax(axis=1) + 1, n + 2)
     return np.minimum(first_below, first_bridge)
-
-
-def gain_trajectory(sp: StoppedPath, tr: TradeSpec, m: MarketParams) -> list[GainSample]:
-    """Per-grid-time gain, investment and account value along one path.
-
-    While active the closed-form gain of the observed price applies; once the
-    stop fires the rule is flat, so the gain stays frozen at its value at the
-    stop time.  The account value is ``v0 + g`` throughout.
-    """
-    times = sp.base.times
-    k = len(times) if sp.stop_index is None else sp.stop_index
-    g = np.empty(len(times))
-    g[:k] = gain_no_stop(tr, m, sp.base.prices[:k], times[:k])
-    if sp.stop_index is not None:
-        g[k:] = g_star_t(tr, m, sp.t_star)
-    stopped_mask = np.arange(len(times)) >= k
-    u = control_value(tr, g, stopped_mask)
-    return [
-        GainSample(t=float(times[i]), g=float(g[i]), u=float(u[i]), v=float(tr.v0 + g[i]))
-        for i in range(len(times))
-    ]
 
 
 @dataclass(frozen=True)
@@ -331,14 +220,31 @@ def _chunk_paths(m, tr, grid, master_seed, first_path, n_paths, bridge):
     return log_rel, stop_idx
 
 
-def _gain(tr, m, log_rel, t):
-    """Gain ``(u0/k) expm1(k log_rel + sigma**2 (k - k**2) t / 2)`` of the active rule.
+def _stops(tr, m, grid, stop_idx):
+    """Stop time of each path and the gain frozen at it, both NaN where the stop never fired."""
+    stopped = stop_idx <= grid.n_steps
+    stop_time = np.full(len(stop_idx), np.nan)
+    stop_time[stopped] = grid.times[stop_idx[stopped]]
+    if tr.s_star is None:
+        return stop_time, stop_time.copy()
+    return stop_time, gain(tr, m, math.log(tr.s_star / m.s0), stop_time)
 
-    ``log_rel`` is the log price ratio ``ln(S_t/s0)`` at time ``t``; at the
-    stop level it gives the gain frozen by a stop at ``t``.
+
+def _rule_steps(tr, m, log_rel, col, stop_idx, frozen, times):
+    """Gain ``g`` and investment ``u`` of the rule at grid indices ``col`` of some paths.
+
+    ``log_rel`` holds the paths' log price ratios at those indices, one row
+    each, and ``times`` the grid times.  From each path's ``stop_idx`` on the
+    gain is frozen at its ``frozen`` value and the investment is zero.
+    Returns ``(g, u, stopped)``, with ``stopped`` the mask of those steps.
     """
-    half = 0.5 * m.sigma**2 * (tr.k - tr.k**2)
-    return (tr.u0 / tr.k) * np.expm1(tr.k * log_rel + half * t)
+    stopped = col >= stop_idx[:, None]
+    g = gain(tr, m, log_rel, times)
+    np.copyto(g, frozen[:, None], where=stopped)
+    # model.control_value's np.where gives the same u but ran the trajectory pass ~15% slower
+    u = tr.u0 + tr.k * g
+    u[stopped] = 0.0
+    return g, u, stopped
 
 
 # Path-steps per sub-block of the trajectory pass, 512 KiB per float64
@@ -350,8 +256,7 @@ _TRAJECTORY_CELLS = 2**16
 def _trajectory_stats(tr, m, grid, log_rel, stop_idx, frozen):
     """:class:`TrajectoryStats` of one block of paths, a few rows at a time.
 
-    ``frozen`` is the per-path gain locked in at the stop, or None when the
-    trade has no stop order.
+    ``frozen`` is the per-path gain locked in at the stop.
     """
     col = np.arange(1, grid.n_steps + 1)
     times = grid.times[1:]
@@ -360,13 +265,8 @@ def _trajectory_stats(tr, m, grid, log_rel, stop_idx, frozen):
     stats = TrajectoryStats()
     for first in range(0, len(stop_idx), n_rows):
         rows = slice(first, first + n_rows)
-        stopped = col >= stop_idx[rows, None]
+        g, u, stopped = _rule_steps(tr, m, log_rel[rows], col, stop_idx[rows], frozen[rows], times)
         active = ~stopped
-        g = _gain(tr, m, log_rel[rows], times)
-        if frozen is not None:
-            np.copyto(g, frozen[rows, None], where=stopped)
-        u = tr.u0 + tr.k * g
-        u[stopped] = 0.0
         long_only = np.count_nonzero((u <= 0) & active)
         min_u_active = np.min(u, where=active, initial=math.inf)
         np.abs(u, out=u)
@@ -393,21 +293,59 @@ def _simulate_chunk(m, tr, grid, master_seed, first_path, n_paths, bridge, traje
     Returns ``(terminal, stop_time, free, stats)``: the terminal gain, the
     stop time (NaN where the stop never fired), the terminal gain without a
     stop order, and the block's :class:`TrajectoryStats` (None unless
-    ``trajectory``).  Every gain comes from :func:`_gain`.
+    ``trajectory``).  Every gain comes from :func:`model.gain`.
     """
-    n = grid.n_steps
     log_rel, stop_idx = _chunk_paths(m, tr, grid, master_seed, first_path, n_paths, bridge)
-    stopped = stop_idx <= n
-    stop_time = np.full(n_paths, np.nan)
-    stop_time[stopped] = grid.times[stop_idx[stopped]]
-    free = _gain(tr, m, log_rel[:, -1], grid.t_end)
-    if tr.s_star is None:
-        frozen, terminal = None, free
-    else:
-        frozen = _gain(tr, m, math.log(tr.s_star / m.s0), stop_time)
-        terminal = np.where(stopped, frozen, free)
+    stop_time, frozen = _stops(tr, m, grid, stop_idx)
+    free = gain(tr, m, log_rel[:, -1], grid.t_end)
+    terminal = np.where(stop_idx <= grid.n_steps, frozen, free)
     stats = _trajectory_stats(tr, m, grid, log_rel, stop_idx, frozen) if trajectory else None
     return terminal, stop_time, free, stats
+
+
+@dataclass(frozen=True)
+class PathTrajectory:
+    """One simulated path at every grid time, ``times[0] = 0`` included.
+
+    ``prices`` starts at ``s0``.  ``g`` is the gain, ``u`` the investment
+    and ``v = v0 + g`` the account value; from ``stop_index`` on the gain is
+    frozen and the investment zero.  ``stop_index`` is None when the stop
+    never fired.
+    """
+
+    times: np.ndarray
+    prices: np.ndarray
+    g: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    stop_index: int | None
+
+
+def path_trajectory(
+    m: MarketParams,
+    tr: TradeSpec,
+    grid: PathGrid,
+    master_seed: int,
+    path_index: int,
+    bridge: bool = True,
+) -> PathTrajectory:
+    """Path ``path_index`` of any :func:`run_batch` call with these arguments, step by step.
+
+    The chunk kernel runs on that one row, so the prices, the stop and the
+    terminal gain ``g[-1]`` are bit for bit those of the batch.
+    """
+    _check_stream(master_seed, path_index)
+    if tr.s_star is not None:
+        require_stop(tr, m)
+    log_rel, stop_idx = _chunk_paths(m, tr, grid, master_seed, path_index, 1, bridge)
+    log_rel = np.pad(log_rel, ((0, 0), (1, 0)))  # time 0, where the log price ratio is 0
+    _, frozen = _stops(tr, m, grid, stop_idx)
+    g, u, _ = _rule_steps(tr, m, log_rel, np.arange(grid.n_steps + 1), stop_idx, frozen, grid.times)
+    stop = int(stop_idx[0])
+    return PathTrajectory(
+        times=grid.times, prices=m.s0 * np.exp(log_rel[0]), g=g[0], u=u[0], v=tr.v0 + g[0],
+        stop_index=stop if stop <= grid.n_steps else None,
+    )
 
 
 def _chunk_worker(args):
@@ -418,7 +356,7 @@ def _check_batch_args(m, tr, grid, n_paths, master_seed, n_workers, memory_budge
     """Reject a bad :func:`run_batch` request before any output is opened; return its chunk size."""
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise ParameterError(f"n_paths must be an integer >= 1 (got {n_paths})")
-    SeedSpec(master_seed, 0)
+    _check_stream(master_seed, 0)
     if tr.s_star is not None:
         require_stop(tr, m)
     if not n_workers >= 1:

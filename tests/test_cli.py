@@ -353,6 +353,16 @@ class TestVerify:
         assert set(legs) == {"survivability", "long_only", "control_bound", "lower_bound"}
         assert all(leg["status"] == "pass" for leg in legs.values())
 
+    @pytest.mark.parametrize("s_star", ["0.42", "0.75"])
+    def test_k1_atom_lands_on_the_floor_point(self, capsys, s_star):
+        # the simulated k = 1 stop gain equals the law's atom g_star bit for
+        # bit; one ulp above it put the whole stopped mass past the grid's
+        # floor point and read a sup distance of 0.39 at s* = 0.42
+        rc, out, _ = run(capsys, ["verify", "--k", "1", "--sstar", s_star, "--paths", "20000",
+                                  "--steps", "256", "--seed", "3"])
+        assert rc == EXIT_OK
+        assert json.loads(out)["cdf_comparison"]["sup_distance"] < 0.015
+
     def test_gate_failure_exit(self, capsys):
         rc, out, _ = run(capsys, self.BASE + ["--gate", "1e-9"])
         assert rc == EXIT_GATE
@@ -426,6 +436,14 @@ class TestFigure:
         out = capsys.readouterr().out
         assert rc == EXIT_GATE
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("bad", [["--paths", "0"], ["--seed", "-1"], ["--workers", "0"]])
+    def test_rejected_run_creates_no_out_dir(self, capsys, tmp_path, bad):
+        out_dir = tmp_path / "d" / "sub"
+        rc = main(["figure", "1", "--steps", "8", "--out-dir", str(out_dir)] + bad)
+        capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "d").exists()
 
     def test_rejects_unknown_figure(self, capsys):
         with pytest.raises(SystemExit) as exc:

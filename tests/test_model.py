@@ -16,6 +16,7 @@ from stopgain.model import (
     expected_gain_lower_bound,
     g_star,
     g_star_t,
+    gain,
     gain_no_stop,
     gain_stopped,
     require_stop,
@@ -132,6 +133,37 @@ class TestStopGainLevels:
     def test_timid_floor_rejects_other_regimes(self, k):
         with pytest.raises(RegimeError):
             timid_floor(trade(k), DEMO)
+
+
+class TestGainMapAccuracy:
+    """Every closed-form gain level goes through ``gain`` and lands within 1 ulp of its 50-digit reference."""
+
+    @staticmethod
+    def within_one_ulp(value, key):
+        ref = CLOSED_FORM[key]
+        assert abs(value - ref) <= math.ulp(ref), (key, value, ref)
+
+    def test_stop_levels(self):
+        self.within_one_ulp(g_star(trade(1.0), DEMO), "k1_g_star")
+        for t, key in ((0.25, "k2_g_floor_t025"), (1.0, "k2_g_floor_t1"), (4.0, "k2_g_floor_t4")):
+            self.within_one_ulp(g_star_t(trade(2.0), DEMO, t), key)
+        self.within_one_ulp(g_star_t(trade(0.5), DEMO, 1.0), "k05_g_level_t1")
+
+    def test_junction_and_floor(self):
+        from stopgain.cdf import ShorthandContext, _junction
+
+        self.within_one_ulp(_junction(ShorthandContext(DEMO, trade(2.0))), "k2_junction")
+        self.within_one_ulp(timid_floor(trade(0.5), DEMO), "k05_hard_floor")
+
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
+    def test_wrappers_are_the_gain_map(self, k):
+        tr = trade(k)
+        ts = np.array([0.0, 0.25, 1.0, 4.0])
+        log_bar = math.log(0.5)
+        assert np.array_equal(g_star_t(tr, DEMO, ts), gain(tr, DEMO, log_bar, ts))
+        s = np.array([0.3, 0.5, 1.0, 2.5])
+        assert np.array_equal(gain_no_stop(tr, DEMO, s, 1.0), gain(tr, DEMO, np.log(s), 1.0))
+        assert np.array_equal(gain_stopped(tr, DEMO, s[1:], 1.0), gain(tr, DEMO, np.log(s[1:]), 1.0))
 
 
 class TestGainExpressions:

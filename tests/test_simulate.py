@@ -10,19 +10,19 @@ import pytest
 
 from stopgain.cdf import ShorthandContext, stopping_time_cdf
 from stopgain.errors import ParameterError, ResourceError
-from stopgain.model import MarketParams, TradeSpec, g_star_t, gain_no_stop
+from stopgain.model import MarketParams, TradeSpec, g_star, g_star_t, gain_no_stop
 from stopgain.simulate import (
     _CSV_BLOCK_ROWS,
     PathGrid,
-    PricePath,
-    SeedSpec,
     TrajectoryStats,
+    _block_uniforms,
     _chunk_paths,
+    _first_touch,
+    _normals_from_uniforms,
+    _stream_keys,
     _write_rows,
-    detect_stop,
-    gain_trajectory,
+    path_trajectory,
     run_batch,
-    sample_path,
     write_csv,
 )
 
@@ -57,42 +57,69 @@ class TestPathGrid:
             PathGrid(**kwargs)
 
 
+def _uniforms(master_seed, path_index, n_steps, stream=0):
+    """One path's uniforms from the price (0) or bridge (1) stream."""
+    return _block_uniforms(_stream_keys(master_seed)[stream], path_index, 1, n_steps)[0]
+
+
+def _prices_reference(m, grid, master_seed, path_index):
+    """One path's prices, generated per path the way the removed one-path sampler did.
+
+    The path's own row of uniforms, then ``concatenate`` + ``cumsum`` +
+    ``exp`` over the log increments; the reference for :func:`_chunk_paths`.
+    """
+    z = _normals_from_uniforms(_uniforms(master_seed, path_index, grid.n_steps))
+    increments = m.drift_rate * grid.dt + m.sigma * math.sqrt(grid.dt) * z
+    log_rel = np.concatenate([[0.0], np.cumsum(increments)])
+    return m.s0 * np.exp(log_rel)
+
+
 class TestSeedSpec:
+    """The random streams a (master seed, path index) pair addresses."""
+
     def test_validation(self):
+        grid = PathGrid(1.0, 8)
         with pytest.raises(ParameterError):
-            SeedSpec(-1, 0)
+            path_trajectory(DEMO, TRADE1, grid, -1, 0)
         with pytest.raises(ParameterError):
-            SeedSpec(2**64, 0)
+            path_trajectory(DEMO, TRADE1, grid, 2**64, 0)
         with pytest.raises(ParameterError):
-            SeedSpec(7, -1)
+            path_trajectory(DEMO, TRADE1, grid, 7, -1)
+        with pytest.raises(ParameterError):
+            run_batch(DEMO, TRADE1, grid, 10, 2**64)
 
     def test_streams_are_deterministic_and_distinct(self):
-        s = SeedSpec(987, 5)
-        assert np.array_equal(s.price_uniforms(32), s.price_uniforms(32))
-        assert not np.array_equal(s.price_uniforms(32), s.bridge_uniforms(32))
-        assert not np.array_equal(s.price_uniforms(32), SeedSpec(987, 6).price_uniforms(32))
-        assert not np.array_equal(s.price_uniforms(32), SeedSpec(988, 5).price_uniforms(32))
+        u = _uniforms(987, 5, 32)
+        assert np.array_equal(u, _uniforms(987, 5, 32))
+        assert not np.array_equal(u, _uniforms(987, 5, 32, stream=1))
+        assert not np.array_equal(u, _uniforms(987, 6, 32))
+        assert not np.array_equal(u, _uniforms(988, 5, 32))
+        # a block of paths is the rows of the paths drawn one at a time
+        block = _block_uniforms(_stream_keys(987)[0], 3, 4, 32)
+        assert np.array_equal(block[2], u)
 
     def test_prefix_stability_of_first_path(self):
         # path 0 owns counters from zero for any step count, so its draws nest;
         # later paths shift with the block size, which depends on n_steps
-        s = SeedSpec(11, 0)
-        long = s.price_uniforms(64)
-        assert np.array_equal(s.price_uniforms(16), long[:16])
+        assert np.array_equal(_uniforms(11, 0, 16), _uniforms(11, 0, 64)[:16])
 
 
 class TestSamplePath:
     def test_deterministic(self):
         grid = PathGrid(1.0, 64)
-        a = sample_path(DEMO, grid, SeedSpec(42, 0))
-        b = sample_path(DEMO, grid, SeedSpec(42, 0))
+        a = path_trajectory(DEMO, TRADE2, grid, 42, 0)
+        b = path_trajectory(DEMO, TRADE2, grid, 42, 0)
         assert np.array_equal(a.prices, b.prices)
+        assert np.array_equal(a.g, b.g)
 
     def test_starts_at_s0(self):
-        p = sample_path(DEMO, PathGrid(1.0, 16), SeedSpec(1, 0))
+        grid = PathGrid(1.0, 16)
+        p = path_trajectory(DEMO, FREE1, grid, 1, 0)
         assert p.prices[0] == 1.0
         assert len(p.prices) == 17
+        assert np.array_equal(p.times, grid.times)
         assert (p.prices > 0).all()
+        assert (p.g[0], p.u[0], p.v[0]) == (0.0, FREE1.u0, FREE1.v0)
 
     def test_matches_chunk_rows_bitwise(self):
         # the batched kernel reproduces per-path generation exactly,
@@ -101,8 +128,9 @@ class TestSamplePath:
             grid = PathGrid(1.0, n_steps)
             log_rel, _ = _chunk_paths(DEMO, FREE1, grid, 2024, 0, 20, False)
             for i in (0, 3, 17):
-                solo = sample_path(DEMO, grid, SeedSpec(2024, i))
-                assert np.array_equal(solo.prices[1:], DEMO.s0 * np.exp(log_rel[i]))
+                solo = _prices_reference(DEMO, grid, 2024, i)
+                assert np.array_equal(solo[1:], DEMO.s0 * np.exp(log_rel[i]))
+                assert np.array_equal(path_trajectory(DEMO, FREE1, grid, 2024, i).prices, solo)
 
     def test_terminal_moments(self):
         # lognormal mean e^(mu t) and log-variance sigma^2 t, 3 sigma gates
@@ -117,98 +145,94 @@ class TestSamplePath:
         assert abs(var - 1.0) <= 3 * se_var
 
 
+LOG_BAR = math.log(0.5)
+
+
+def _touch(prices, uniforms=None, dt=0.5):
+    """First-touch index of one hand-built path of prices after the start, barrier 0.5."""
+    log_rel = np.log(np.array([prices]))
+    u = None if uniforms is None else np.array([uniforms], dtype=float)
+    return int(_first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, u)[0])
+
+
 class TestDetectStop:
     def test_first_grid_touch(self):
-        p = PricePath(times=np.array([0.0, 0.5, 1.0]), prices=np.array([1.0, 0.6, 0.4]))
-        sp = detect_stop(p, 0.5, DEMO, bridge=False, seed=SeedSpec(0, 0))
-        assert sp.stop_index == 2
-        assert sp.t_star == 1.0
-        assert np.array_equal(sp.stopped_prices, [1.0, 0.6, 0.5])
+        assert _touch([0.6, 0.4]) == 2
+        assert _touch([0.4, 0.3, 0.45]) == 1  # the first of several touches
 
     def test_touch_counts_as_stop(self):
-        p = PricePath(times=np.array([0.0, 1.0]), prices=np.array([1.0, 0.5]))
-        sp = detect_stop(p, 0.5, DEMO, bridge=False, seed=SeedSpec(0, 0))
-        assert sp.stop_index == 1
+        assert _touch([0.5]) == 1
+        assert _touch([0.7, 0.5, 0.9]) == 2
 
     def test_never_below_without_bridge(self):
-        p = PricePath(times=np.array([0.0, 0.5, 1.0]), prices=np.array([1.0, 0.9, 1.1]))
-        sp = detect_stop(p, 0.5, DEMO, bridge=False, seed=SeedSpec(0, 0))
-        assert sp.t_star is None
-        assert sp.stop_index is None
-        assert np.array_equal(sp.stopped_prices, p.prices)
+        assert _touch([0.9, 1.1]) == 3  # n + 1
 
     def test_barrier_must_sit_below_start(self):
-        p = PricePath(times=np.array([0.0, 1.0]), prices=np.array([1.0, 1.2]))
         with pytest.raises(ParameterError):
-            detect_stop(p, 1.0, DEMO, bridge=False, seed=SeedSpec(0, 0))
+            path_trajectory(DEMO, TradeSpec(u0=1.0, k=1.0, v0=1.0, s_star=1.0), PathGrid(1.0, 2), 0, 0)
 
     def test_bridge_only_adds_earlier_stops(self):
+        # hand-built: a draw under the crossing probability of a step that
+        # starts and ends above the barrier stops the path at its right end
+        assert _touch([0.55, 0.6, 0.4], [1.0, 0.0, 1.0]) == 2
+        assert _touch([0.55, 0.6, 0.4], [0.0, 1.0, 1.0]) == 1
+        assert _touch([0.55, 0.6, 0.4], [1.0, 1.0, 1.0]) == 3  # draws of 1 never cross
+        assert _touch([0.55, 0.6, 0.4], [1.0, 1.0, 0.0]) == 3  # step 3 is a grid touch
+        assert _touch([0.9, 1.1], [0.0, 0.0]) == 1
+        # simulated: toggling the bridge keeps the prices and never delays a stop
         grid = PathGrid(1.0, 32)
-        for i in range(40):
-            p = sample_path(DEMO, grid, SeedSpec(31337, i))
-            plain = detect_stop(p, 0.5, DEMO, bridge=False, seed=SeedSpec(31337, i))
-            bridged = detect_stop(p, 0.5, DEMO, bridge=True, seed=SeedSpec(31337, i))
-            assert np.array_equal(bridged.base.prices, plain.base.prices)
-            if plain.stop_index is not None:
-                assert bridged.stop_index is not None
-                assert bridged.stop_index <= plain.stop_index
+        plain_rel, plain = _chunk_paths(DEMO, TRADE1, grid, 31337, 0, 40, False)
+        bridged_rel, bridged = _chunk_paths(DEMO, TRADE1, grid, 31337, 0, 40, True)
+        assert np.array_equal(bridged_rel, plain_rel)
+        assert (bridged <= plain).all()
 
     def test_bridge_hit_lands_on_right_endpoint(self):
         grid = PathGrid(1.0, 32)
+        log_rel, plain = _chunk_paths(DEMO, TRADE1, grid, 2718, 0, 200, False)
+        _, bridged = _chunk_paths(DEMO, TRADE1, grid, 2718, 0, 200, True)
+        batch = run_batch(DEMO, TRADE1, grid, 200, 2718)
         hits = 0
         for i in range(200):
-            p = sample_path(DEMO, grid, SeedSpec(2718, i))
-            plain = detect_stop(p, 0.5, DEMO, bridge=False, seed=SeedSpec(2718, i))
-            bridged = detect_stop(p, 0.5, DEMO, bridge=True, seed=SeedSpec(2718, i))
-            if bridged.stop_index is not None and bridged.stop_index != plain.stop_index:
+            if bridged[i] <= 32 and bridged[i] != plain[i]:
                 hits += 1
-                assert bridged.t_star == grid.times[bridged.stop_index]
-                assert p.prices[bridged.stop_index] > 0.5  # grid never saw the touch
+                assert batch.stop_time[i] == grid.times[bridged[i]]
+                assert log_rel[i, bridged[i] - 1] > LOG_BAR  # grid never saw the touch
         assert hits > 0  # the correction must actually fire sometimes
 
 
 class TestGainTrajectory:
     def test_unstopped_matches_closed_form(self):
         grid = PathGrid(1.0, 16)
-        p = sample_path(DEMO, grid, SeedSpec(9, 4))
-        sp = detect_stop(p, 1e-6, DEMO, bridge=False, seed=SeedSpec(9, 4))
-        assert sp.t_star is None
         tr = TradeSpec(u0=1.0, k=2.0, v0=0.5, s_star=1e-6)
-        samples = gain_trajectory(sp, tr, DEMO)
-        for i, s in enumerate(samples):
+        p = path_trajectory(DEMO, tr, grid, 9, 4, bridge=False)
+        assert p.stop_index is None
+        for i in range(len(p.times)):
             expected = gain_no_stop(tr, DEMO, p.prices[i], p.times[i])
-            assert s.g == pytest.approx(expected, rel=1e-12)
-            assert s.u == pytest.approx(1.0 + 2.0 * expected, rel=1e-12)
-            assert s.v == pytest.approx(0.5 + expected, rel=1e-12)
+            assert p.g[i] == pytest.approx(expected, rel=1e-12)
+            assert p.u[i] == pytest.approx(1.0 + 2.0 * expected, rel=1e-12)
+            assert p.v[i] == pytest.approx(0.5 + expected, rel=1e-12)
 
-    def _stopped_path(self, seed_i, trade):
+    def _stopped_path(self, trade):
         grid = PathGrid(1.0, 64)
-        for i in range(seed_i, seed_i + 200):
-            p = sample_path(DEMO, grid, SeedSpec(77, i))
-            sp = detect_stop(p, 0.5, DEMO, bridge=False, seed=SeedSpec(77, i))
-            if sp.stop_index is not None and 0 < sp.stop_index < 64:
-                return sp
+        for i in range(200):
+            p = path_trajectory(DEMO, trade, grid, 77, i, bridge=False)
+            if p.stop_index is not None and 0 < p.stop_index < 64:
+                return p
         pytest.fail("no stopped path found")
 
     def test_buy_and_hold_freezes_at_g_star(self):
-        sp = self._stopped_path(0, TRADE1)
-        samples = gain_trajectory(sp, TRADE1, DEMO)
-        for s in samples[sp.stop_index:]:
-            assert s.g == pytest.approx(-0.5, rel=1e-12)
-            assert s.u == 0.0
-        before = samples[sp.stop_index - 1]
-        assert before.u > 0.0
+        p = self._stopped_path(TRADE1)
+        assert (p.g[p.stop_index :] == g_star(TRADE1, DEMO)).all()
+        assert (p.u[p.stop_index :] == 0.0).all()
+        assert p.u[p.stop_index - 1] > 0.0
 
     def test_bold_freezes_at_stop_time_level(self):
-        sp = self._stopped_path(0, TRADE2)
-        frozen = g_star_t(TRADE2, DEMO, sp.t_star)
-        samples = gain_trajectory(sp, TRADE2, DEMO)
-        tail = samples[sp.stop_index:]
-        assert len({s.g for s in tail}) == 1  # constant after the stop
-        for s in tail:
-            assert s.g == pytest.approx(frozen, rel=1e-12)
-            assert s.u == 0.0
-            assert s.v == pytest.approx(TRADE2.v0 + frozen, rel=1e-12)
+        p = self._stopped_path(TRADE2)
+        frozen = g_star_t(TRADE2, DEMO, p.times[p.stop_index])
+        assert (p.g[p.stop_index :] == frozen).all()  # constant after the stop
+        assert (p.u[p.stop_index :] == 0.0).all()
+        assert np.array_equal(p.v, TRADE2.v0 + p.g)
+        assert (p.u[: p.stop_index] > 0.0).all()
 
 
 class TestRunBatch:
@@ -234,23 +258,39 @@ class TestRunBatch:
         assert np.array_equal(a.stop_time, b.stop_time, equal_nan=True)
 
     def test_single_path_composes_the_pieces(self):
-        grid = PathGrid(1.0, 64)
-        for i in range(6):
-            batch = run_batch(DEMO, TRADE2, grid, 1, 6060 + i)
-            p = sample_path(DEMO, grid, SeedSpec(6060 + i, 0))
-            sp = detect_stop(p, 0.5, DEMO, bridge=True, seed=SeedSpec(6060 + i, 0))
-            samples = gain_trajectory(sp, TRADE2, DEMO)
-            assert batch.terminal_gain[0] == pytest.approx(samples[-1].g, rel=1e-12, abs=1e-12)
-            if sp.t_star is None:
-                assert math.isnan(batch.stop_time[0])
-            else:
-                assert batch.stop_time[0] == sp.t_star
+        # path_trajectory is one row of the batch kernel: terminal gain, stop
+        # time and stop index agree exactly, in every chunk of the batch
+        # (1 MiB holds 85 paths of 256 steps, so 200 paths take three chunks)
+        grid = PathGrid(1.0, 256)
+        n = 200
+        for k in (1.0, 2.0, 0.5):
+            trade = TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5)
+            for bridge in (True, False):
+                batch = run_batch(DEMO, trade, grid, n, 6060, bridge=bridge, memory_budget_mb=1)
+                assert batch.stopped.any() and not batch.stopped.all()
+                for i in range(n):
+                    p = path_trajectory(DEMO, trade, grid, 6060, i, bridge=bridge)
+                    assert p.g[-1] == batch.terminal_gain[i]
+                    if p.stop_index is None:
+                        assert math.isnan(batch.stop_time[i])
+                    else:
+                        assert p.times[p.stop_index] == batch.stop_time[i]
+                        assert grid.times[p.stop_index] == batch.stop_time[i]
 
     def test_stopped_k1_terminals_sit_on_the_atom(self):
         batch = run_batch(DEMO, TRADE1, PathGrid(1.0, 128), 4000, 31415)
         stopped = batch.stopped
         assert stopped.any() and not stopped.all()
         assert np.allclose(batch.terminal_gain[stopped], -0.5, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("s_star", [0.42, 0.5, 0.75])
+    def test_stopped_k1_terminals_equal_g_star_bitwise(self, s_star):
+        # the simulator freezes a stopped path at the law's atom exactly, so
+        # the whole stopped mass sits on the comparison grid's floor point
+        trade = TradeSpec(u0=1.0, k=1.0, v0=1.0, s_star=s_star)
+        batch = run_batch(DEMO, trade, PathGrid(1.0, 128), 2000, 31415)
+        assert batch.stopped.any()
+        assert (batch.terminal_gain[batch.stopped] == g_star(trade, DEMO)).all()
 
     def test_stop_probability_matches_law(self):
         n = 20_000

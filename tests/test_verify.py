@@ -9,7 +9,7 @@ import pytest
 from stopgain.cdf import CdfQuery, ShorthandContext, cdf_with_stop, stopping_time_cdf
 from stopgain.errors import EmptySampleError, ParameterError
 from stopgain.model import MarketParams, TradeSpec, g_star_t, gain_no_stop, timid_floor
-from stopgain.simulate import PathGrid, SeedSpec, detect_stop, gain_trajectory, run_batch, sample_path
+from stopgain.simulate import PathGrid, path_trajectory, run_batch
 from stopgain.verify import (
     FIGURE_PARAMS,
     compare,
@@ -250,12 +250,10 @@ class TestPropertySuite:
     def test_boundary_financing_ties_investment_to_account(self):
         # with u0 = k*v0 the rule invests exactly k times the account value
         tr = TradeSpec(u0=2.0, k=2.0, v0=1.0, s_star=0.5)
-        grid = PathGrid(1.0, 32)
-        p = sample_path(DEMO, grid, SeedSpec(3, 0))
-        sp = detect_stop(p, 0.5, DEMO, bridge=False, seed=SeedSpec(3, 0))
-        for s in gain_trajectory(sp, tr, DEMO):
-            if s.u != 0.0:  # active leg
-                assert s.u == pytest.approx(tr.k * s.v, rel=1e-12)
+        p = path_trajectory(DEMO, tr, PathGrid(1.0, 32), 3, 0, bridge=False)
+        active = p.u != 0.0
+        assert active.any()
+        assert p.u[active] == pytest.approx(tr.k * p.v[active], rel=1e-12)
 
     def test_unknown_leg_lookup(self):
         tr = TradeSpec(u0=1.0, k=1.0, v0=2.0, s_star=0.5)
