@@ -191,9 +191,7 @@ def omega(t, ctx: ShorthandContext):
     if np.any(t < 0):
         raise DomainError(f"t must be >= 0 (got {t})")
     start = t == 0
-    t_pos = np.where(start, 1.0, t)
-    log_ratio = ctx.log_s0_over_star
-    p = _phi_at_log(ctx, log_ratio, t_pos) - ctx.z_star * _phi_at_log(ctx, -log_ratio, t_pos)
+    p = _joint_survival_log(ctx.log_s0_over_star, np.where(start, 1.0, t), ctx)
     return _scalar_or_array(np.where(start, 1.0, p))
 
 
@@ -215,6 +213,7 @@ def joint_survival(x_price: float, t: float, ctx: ShorthandContext) -> float:
 
 
 def _joint_survival_log(log_s0_over_x, t, ctx: ShorthandContext):
+    """``joint_survival`` of ``ln(s0/x_price)``; the one place the reflection law is written."""
     log_image = log_s0_over_x - 2.0 * ctx.log_s0_over_star
     p = _phi_at_log(ctx, log_s0_over_x, t) - ctx.z_star * _phi_at_log(ctx, log_image, t)
     return _scalar_or_array(np.clip(p, 0.0, 1.0))
@@ -307,16 +306,12 @@ def cdf_with_stop(q: CdfQuery, ctx: ShorthandContext) -> CdfValue:
     stopped band below the level curve, then the survivor branch.  For
     ``k != 1`` the value is the sum of the two joint laws.
     """
-    tr = ctx.trade
-    if tr.k != 1:
+    if ctx.trade.k != 1:
         branch, stopped, unstopped = _joint_parts(q.x, q.t, ctx)
         p = np.clip(stopped + unstopped, 0.0, 1.0)
     else:
         x = np.asarray(q.x, dtype=float)
         floor = _law_floor(ctx, q.t)
         branch = np.where(x < floor, _FLOOR, _UPPER)
-        log_z = math.log(tr.u0) - np.log(np.maximum(x, floor) + tr.u0)
-        log_image = log_z - 2.0 * ctx.log_s0_over_star
-        p = 1.0 - _phi_at_log(ctx, log_z, q.t) + ctx.z_star * _phi_at_log(ctx, log_image, q.t)
-        p = np.where(branch == _FLOOR, 0.0, np.clip(p, 0.0, 1.0))
+        p = np.where(branch == _FLOOR, 0.0, 1.0 - theta(np.maximum(x, floor), q.t, ctx))
     return CdfValue(_scalar_or_array(p), _BRANCH_NAMES[branch])

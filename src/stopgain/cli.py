@@ -17,7 +17,7 @@ import numpy as np
 
 from . import verify as _verify
 from .cdf import CdfQuery, ShorthandContext, cdf_no_stop, cdf_with_stop, stopping_time_cdf
-from .errors import StopgainError
+from .errors import ParameterError, StopgainError
 from .model import MarketParams, TradeSpec
 from .simulate import PathGrid, _check_batch_args, run_batch, write_csv
 
@@ -236,8 +236,7 @@ def _open_out(out: str | None):
 
 def cmd_eval(args) -> int:
     if args.x is None:
-        print("error: --x is required (flag or config file)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError("--x is required (flag or config file)")
     m = _build_market(args)
     tr = _build_trade(args)
     ctx = ShorthandContext(m, tr)
@@ -249,17 +248,14 @@ def cmd_eval(args) -> int:
 
 def cmd_curve(args) -> int:
     if args.xmin is None or args.xmax is None:
-        print("error: --xmin and --xmax are required (flag or config file)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError("--xmin and --xmax are required (flag or config file)")
     m = _build_market(args)
     tr = _build_trade(args)
     ctx = ShorthandContext(m, tr)
     if not args.xmin < args.xmax:
-        print(f"error: xmin must be < xmax (got {args.xmin}, {args.xmax})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"xmin must be < xmax (got {args.xmin}, {args.xmax})")
     if args.points < 2:
-        print(f"error: points must be >= 2 (got {args.points})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"points must be >= 2 (got {args.points})")
     law = cdf_with_stop if tr.s_star is not None else cdf_no_stop
     q = CdfQuery(np.linspace(args.xmin, args.xmax, args.points), args.t)
     columns = [q.x, law(q, ctx).p]
@@ -275,12 +271,10 @@ def cmd_stoptime(args) -> int:
     m = _build_market(args)
     tr = _build_trade(args)
     if tr.s_star is None:
-        print("error: stoptime requires a stop order (--sstar without --no-stop)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError("stoptime requires a stop order (--sstar without --no-stop)")
     ctx = ShorthandContext(m, tr)
     if not args.t > 0:
-        print(f"error: t must be > 0 (got {args.t})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"t must be > 0 (got {args.t})")
     print(f"{stopping_time_cdf(args.t, ctx):.17g}")
     return EXIT_OK
 
@@ -334,13 +328,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    m, tr, grid = _verify._figure_case(args.which, args.steps)
+    _check_batch_args(m, tr, grid, args.paths, args.seed, args.workers)
+    # created once the arguments are accepted, so a rejected run leaves no
+    # directory, and before simulating, so a bad one fails at once
+    out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    os.makedirs(out_dir, exist_ok=True)
     result = _verify.reproduce_figure(
         args.which, n_paths=args.paths, master_seed=args.seed,
         n_steps=args.steps, n_workers=args.workers, bridge=args.bridge,
     )
-    # created only once the arguments are accepted, so a rejected run leaves no directory
-    out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"figure{args.which}.csv")
     columns = ["x", "F0_theory", "F_theory", "F0_empirical", "F_empirical"]
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
@@ -376,10 +373,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StopgainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (StopgainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

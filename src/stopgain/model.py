@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 
+def _square_is_positive_finite(value) -> bool:
+    """True when ``value > 0`` and its float square is neither 0 nor inf."""
+    value = float(value)  # a Python float squares to inf or 0 without a warning
+    return value > 0 and 0.0 < value * value < math.inf
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Geometric Brownian motion price model ``dS/S = mu dt + sigma dW``.
@@ -40,7 +46,7 @@ class MarketParams:
     mu : float
         Drift rate per unit time.
     sigma : float
-        Volatility per square-root unit time; must be positive.
+        Volatility per square-root unit time; positive, with a finite, nonzero square.
     s0 : float
         Initial price in currency; must be positive.
     """
@@ -52,8 +58,8 @@ class MarketParams:
     def __post_init__(self):
         if not np.isfinite(self.mu):
             raise ParameterError(f"mu must be finite (got {self.mu})")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ParameterError(f"sigma must be > 0 (got {self.sigma})")
+        if not _square_is_positive_finite(self.sigma):
+            raise ParameterError(f"sigma must be > 0 with a finite, nonzero square (got {self.sigma})")
         if not (np.isfinite(self.s0) and self.s0 > 0):
             raise ParameterError(f"s0 must be > 0 (got {self.s0})")
 
@@ -72,7 +78,8 @@ class TradeSpec:
     u0 : float
         Initial investment level in currency; must be positive.
     k : float
-        Feedback gain applied to the running profit-or-loss; must be positive.
+        Feedback gain applied to the running profit-or-loss; positive, with a
+        finite, nonzero square (sigma**2 and k**2 enter every law).
     v0 : float
         Initial account value in currency; must be positive.
     s_star : float or None
@@ -89,8 +96,8 @@ class TradeSpec:
     def __post_init__(self):
         if not (np.isfinite(self.u0) and self.u0 > 0):
             raise ParameterError(f"u0 must be > 0 (got {self.u0})")
-        if not (np.isfinite(self.k) and self.k > 0):
-            raise ParameterError(f"k must be > 0 (got {self.k})")
+        if not _square_is_positive_finite(self.k):
+            raise ParameterError(f"k must be > 0 with a finite, nonzero square (got {self.k})")
         if not (np.isfinite(self.v0) and self.v0 > 0):
             raise ParameterError(f"v0 must be > 0 (got {self.v0})")
         if self.s_star is not None and not (np.isfinite(self.s_star) and self.s_star > 0):

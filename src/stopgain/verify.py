@@ -112,24 +112,29 @@ def compare(
 
 
 def _quantile(ctx: ShorthandContext, t_end: float, q: float) -> float:
-    """Invert the stop-protected gain CDF at probability ``q`` by bisection."""
-    lo = _law_floor(ctx, t_end)
-    hi = lo + max(1.0, abs(lo)) * ctx.trade.u0 / ctx.trade.k
+    """First level ``floor + span/2 (1 + j/128)``, j = 1..128, where the gain CDF reaches ``q``.
+
+    ``span`` is first doubled or halved until the quantile lies in ``(span/2, span]``.
+    """
+    floor = _law_floor(ctx, t_end)
+    span = max(1.0, abs(floor)) * ctx.trade.u0 / ctx.trade.k
     for _ in range(200):
-        if cdf_with_stop(CdfQuery(hi, t_end), ctx).p >= q:
+        if cdf_with_stop(CdfQuery(floor + span, t_end), ctx).p >= q:
             break
-        hi = lo + 2.0 * (hi - lo)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if cdf_with_stop(CdfQuery(mid, t_end), ctx).p >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        span *= 2.0
+    for _ in range(200):
+        half = floor + 0.5 * span
+        if not (half > floor and cdf_with_stop(CdfQuery(half, t_end), ctx).p >= q):
+            break
+        span *= 0.5
+    levels = floor + 0.5 * span * (1.0 + np.arange(1, 129) / 128)
+    reached = cdf_with_stop(CdfQuery(levels, t_end), ctx).p >= q
+    reached[-1] = True  # the last level is floor + span, already checked
+    return float(levels[np.argmax(reached)])
 
 
 def comparison_grid(ctx: ShorthandContext, t_end: float, n_points: int = 512) -> np.ndarray:
-    """Gain levels from just under the regime floor to the 99.9% quantile.
+    """Gain levels from just under the regime floor to the 99.9% quantile, on a lattice.
 
     The exact floor value is always one of the abscissae so atoms sitting on
     it show up in datasets and comparisons.
@@ -198,6 +203,17 @@ class FigureResult:
     no_stop_report: ComparisonReport
 
 
+def _figure_case(which: int, n_steps: int | None):
+    """Market, trade and path grid of figure ``which``; ``n_steps=None`` picks the default grid."""
+    if which not in FIGURE_PARAMS:
+        raise ParameterError(f"which must be one of {sorted(FIGURE_PARAMS)} (got {which})")
+    p = FIGURE_PARAMS[which]
+    m = MarketParams(mu=p["mu"], sigma=p["sigma"], s0=p["s0"])
+    tr = TradeSpec(u0=p["u0"], k=p["k"], v0=p["u0"] / p["k"], s_star=p["s_star"])
+    grid = PathGrid.default(p["t_end"]) if n_steps is None else PathGrid(p["t_end"], n_steps)
+    return m, tr, grid
+
+
 def reproduce_figure(
     which: int,
     n_paths: int = DEFAULT_FIGURE_PATHS,
@@ -213,24 +229,17 @@ def reproduce_figure(
     laws.  Emits the five-column dataset and the comparison report of the
     stop-protected law.
     """
-    if which not in FIGURE_PARAMS:
-        raise ParameterError(f"which must be one of {sorted(FIGURE_PARAMS)} (got {which})")
-    p = FIGURE_PARAMS[which]
-    t_end = p["t_end"]
-    if n_steps is None:
-        n_steps = PathGrid.default(t_end).n_steps
-    m = MarketParams(mu=p["mu"], sigma=p["sigma"], s0=p["s0"])
-    tr = TradeSpec(u0=p["u0"], k=p["k"], v0=p["u0"] / p["k"], s_star=p["s_star"])
+    m, tr, grid = _figure_case(which, n_steps)
     ctx = ShorthandContext(m, tr)
-    grid = PathGrid(t_end, n_steps)
+    t_end = grid.t_end
 
     batch = run_batch(
         m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers, free_gain=True
     )
 
     metadata = dict(
-        which=which, mu=p["mu"], sigma=p["sigma"], s0=p["s0"], s_star=p["s_star"],
-        u0=p["u0"], k=p["k"], t_end=t_end, n_paths=n_paths, n_steps=n_steps,
+        which=which, mu=m.mu, sigma=m.sigma, s0=m.s0, s_star=tr.s_star,
+        u0=tr.u0, k=tr.k, t_end=t_end, n_paths=n_paths, n_steps=grid.n_steps,
         master_seed=master_seed, bridge=bridge,
     )
     report = law_report(batch, ctx, t_end, metadata=metadata)

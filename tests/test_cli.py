@@ -158,6 +158,27 @@ class TestCurve:
         assert "--xmin" in err
 
 
+class TestFiniteFlagsAreUsageErrors:
+    # each of these used to end in an OverflowError or a ZeroDivisionError;
+    # "OUT" stands for a file that must be left as it was
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--sstar", "0.5", "--x", "0", "--sigma", "1e200"],
+        ["stoptime", "--sstar", "0.5", "--sigma", "1e200"],
+        ["curve", "--sstar", "0.5", "--xmin", "0", "--xmax", "1", "--sigma", "1e200"],
+        ["eval", "--sstar", "0.5", "--x", "0", "--k", "2", "--sigma", "1e-200"],
+        ["eval", "--sstar", "0.5", "--x", "0", "--k", "1e300"],
+        ["simulate", "--sstar", "0.5", "--sigma", "1e200", "--out", "OUT"],
+    ])
+    def test_exit_2_without_traceback(self, capsys, tmp_path, argv):
+        out = tmp_path / "f"
+        out.write_text("kept\n")
+        rc, stdout, err = run(capsys, [str(out) if a == "OUT" else a for a in argv])
+        assert rc == EXIT_USAGE
+        assert stdout == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out.read_text() == "kept\n"
+
+
 class TestSimulate:
     ARGS = ["simulate", "--sstar", "0.5", "--paths", "400", "--steps", "64"]
 
@@ -445,6 +466,15 @@ class TestFigure:
         assert rc == EXIT_USAGE
         assert not (tmp_path / "d").exists()
 
+    def test_bad_out_dir_fails_before_simulating(self, capsys, tmp_path, simulated):
+        (tmp_path / "afile").write_text("")
+        rc = main(["figure", "2", "--paths", "20000", "--steps", "256",
+                   "--out-dir", str(tmp_path / "afile" / "sub")])
+        _, err = capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert err.startswith("error:")
+        assert simulated["run_batch"] == 0
+
     def test_rejects_unknown_figure(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "4"])
@@ -460,7 +490,7 @@ PINNED_VERIFY_JSON = """\
   "cdf_comparison": {
     "n_grid": 513,
     "passed": true,
-    "sup_distance": 0.013102302786343945
+    "sup_distance": 0.013546160905596794
   },
   "config": {
     "bridge": true,
@@ -525,7 +555,7 @@ PINNED_VERIFY_JSON = """\
 # SHA-256 of the CSV of `figure 2 --paths 2000 --steps 64`; its empirical
 # columns are as written when it ran one batch with the stop order and a
 # second one without
-PINNED_FIGURE2_CSV_SHA256 = "efd284d607bd909b7c7023c84aadb769d685fa11201095f60b362fbfc8b7bda5"
+PINNED_FIGURE2_CSV_SHA256 = "a3f405815fa278d30d028aaf2ae6f638ba3d6924dce070a962dd634e5d5133cc"
 
 
 @pytest.fixture

@@ -43,6 +43,8 @@ class TestMarketParams:
         dict(mu=0.5, sigma=-1.0, s0=1.0),
         dict(mu=0.5, sigma=1.0, s0=0.0),
         dict(mu=0.5, sigma=1.0, s0=-2.0),
+        dict(mu=0.5, sigma=1e200, s0=1.0),  # sigma**2 overflows
+        dict(mu=0.5, sigma=1e-200, s0=1.0),  # sigma**2 underflows to 0
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):
@@ -63,6 +65,8 @@ class TestTradeSpec:
         dict(u0=1.0, k=1.0, v0=1.0, s_star=0.0),
         dict(u0=1.0, k=1.0, v0=1.0, s_star=-0.5),
         dict(u0=1.0, k=math.nan, v0=1.0),
+        dict(u0=1.0, k=1e300, v0=1.0),  # k**2 overflows
+        dict(u0=1.0, k=1e-200, v0=1.0),  # k**2 underflows to 0
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from stopgain.cdf import CdfQuery, ShorthandContext, cdf_with_stop, stopping_time_cdf
+from stopgain import verify
+from stopgain.cdf import (
+    CdfQuery, CdfValue, ShorthandContext, _law_floor, cdf_with_stop, stopping_time_cdf,
+)
 from stopgain.errors import EmptySampleError, ParameterError
 from stopgain.model import MarketParams, TradeSpec, g_star_t, gain_no_stop, timid_floor
 from stopgain.simulate import PathGrid, path_trajectory, run_batch
@@ -124,9 +127,53 @@ class TestComparisonGrid:
             floor = timid_floor(tr, DEMO)
         assert floor in grid
         assert grid[0] == pytest.approx(floor - 0.05 / k)
-        assert cdf_with_stop(CdfQuery(float(grid[-1]), 1.0), ctx).p >= 0.999 - 1e-6
+        assert cdf_with_stop(CdfQuery(float(grid[-1]), 1.0), ctx).p >= 0.999
         assert (np.diff(grid) > 0).all()
         assert len(grid) >= 512
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
+    def test_top_is_the_first_lattice_level_past_the_quantile(self, k, t):
+        # the span above the floor is a power of two times max(1, |floor|) u0/k
+        # with 8 significant bits: hi/2 (1 + j/128) for j = 1..128
+        ctx = ctx_for(k)
+        floor = _law_floor(ctx, t)
+        top = float(comparison_grid(ctx, t)[-1])
+        assert top > floor
+        unit = max(1.0, abs(floor)) / k
+        hi = unit * 2.0 ** math.ceil(math.log2((top - floor) / unit) - 1e-9)
+        assert cdf_with_stop(CdfQuery(top, t), ctx).p >= 0.999
+        assert cdf_with_stop(CdfQuery(top - hi / 256, t), ctx).p < 0.999
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
+    def test_few_law_calls(self, monkeypatch, k, t):
+        calls = []
+
+        def counted(q, ctx):
+            calls.append(q)
+            return cdf_with_stop(q, ctx)
+
+        monkeypatch.setattr(verify, "cdf_with_stop", counted)
+        comparison_grid(ctx_for(k), t)
+        assert len(calls) <= 20
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
+    def test_last_bit_of_the_law_does_not_move_the_grid(self, monkeypatch, k, t):
+        ctx = ctx_for(k)
+        grid = comparison_grid(ctx, t)
+        for direction in (np.inf, -np.inf):
+
+            def nudged(q, c):
+                v = cdf_with_stop(q, c)
+                p = v.p
+                for _ in range(4):
+                    p = np.nextafter(p, direction)
+                return CdfValue(np.clip(p, 0.0, 1.0), v.branch)
+
+            monkeypatch.setattr(verify, "cdf_with_stop", nudged)
+            assert np.array_equal(comparison_grid(ctx, t), grid)
 
 
 class TestReplicate:
