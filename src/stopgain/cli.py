@@ -230,6 +230,15 @@ def _dump_json(report: dict, out: str | None):
             f.write(text)
 
 
+def _probe_out(out: str | None):
+    """Fail at once on an ``out`` file that cannot be written; leave it as it was."""
+    if out is not None:
+        existed = os.path.lexists(out)
+        open(out, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(out)
+
+
 def _open_out(out: str | None):
     return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
 
@@ -298,7 +307,10 @@ def cmd_verify(args) -> int:
     tr = _build_trade(args)
     grid = _grid_from(args)
     report = {"config": _resolved_config(args, tr, grid), "gate": args.gate}
-    ctx = ShorthandContext(m, tr)  # rejects a bad (market, trade) pair before any path is drawn
+    # a bad request or --out fails before any path is drawn, and leaves --out as it was
+    _check_batch_args(m, tr, grid, args.paths, args.seed, args.workers)
+    ctx = ShorthandContext(m, tr)
+    _probe_out(args.out)
 
     # one batch feeds both the law comparison and the property legs
     batch = run_batch(

@@ -100,6 +100,23 @@ def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     return ndtri(np.maximum(u, _U_FLOOR))
 
 
+# Path-steps per row block of the chunk kernel's per-cell passes (first
+# touch, trajectory), 512 KiB per float64 temporary.  Blocks that stay in
+# cache ran the trajectory pass about twice as fast as 2048-row blocks at
+# 1024 steps, and keep every temporary far below a chunk.
+_BLOCK_CELLS = 2**16
+
+# A bridge cell whose exponent is at most this cannot cross unless its draw is
+# exactly 0: exp(-40) < 2**-54, below the smallest positive Philox uniform.
+_BRIDGE_CUT = -40.0
+
+
+def _row_blocks(n_rows, n_steps):
+    """Row slices of ``n_rows`` paths of ``n_steps`` steps, about :data:`_BLOCK_CELLS` cells each."""
+    step = max(1, _BLOCK_CELLS // n_steps)
+    return (slice(first, first + step) for first in range(0, n_rows, step))
+
+
 def _first_touch(log_rel, log_bar, sigma, dt, uniforms):
     """First stop index per row, in [1, n]; n+1 when never touched.
 
@@ -110,34 +127,42 @@ def _first_touch(log_rel, log_bar, sigma, dt, uniforms):
     sampled with the Brownian-bridge probability
     ``exp(-2 ln(S_i/s_star) ln(S_{i+1}/s_star) / (sigma**2 dt))`` and stamped
     at the interval's right endpoint, so it only ever adds earlier stops.
-    The bridge arithmetic runs in place and every temporary is dropped as
-    soon as it is spent, so the peak stays inside the per-path estimate of
-    :func:`run_batch`.
+    When ``sigma**2 dt`` underflows to 0 no crossing is possible and only the
+    grid touches count.
+
+    The draws must be multiples of 2**-53 in [0, 1), as Philox ``random()``
+    gives.  Then a cell whose exponent is at most :data:`_BRIDGE_CUT` crosses
+    only on a draw of exactly 0, so ``exp`` runs only on the cells that can
+    cross (both ends above the barrier, and an exponent above the cut or a
+    zero draw) and the stops are those of evaluating every cell.  The rows
+    are visited a block at a time, so no temporary is as large as the chunk.
     """
     b, n = log_rel.shape
-    below = log_rel <= log_bar
-    hit = below.any(axis=1)
-    first_below = np.where(hit, below.argmax(axis=1) + 1, n + 1)
-    del below
-    if uniforms is None:
-        return first_below
-    lhs = np.empty_like(log_rel)
-    lhs[:, 0] = -log_bar
-    lhs[:, 1:] = log_rel[:, :-1] - log_bar
-    rhs = log_rel - log_bar
-    with np.errstate(over="ignore"):
-        p_cross = -2.0 * lhs
-        p_cross *= rhs
-        p_cross /= sigma**2 * dt
-        np.exp(p_cross, out=p_cross)
-    bridge_hit = lhs > 0
-    del lhs
-    bridge_hit &= rhs > 0
-    del rhs
-    bridge_hit &= uniforms < p_cross
-    any_bridge = bridge_hit.any(axis=1)
-    first_bridge = np.where(any_bridge, bridge_hit.argmax(axis=1) + 1, n + 2)
-    return np.minimum(first_below, first_bridge)
+    var = sigma**2 * dt
+    bridge = uniforms is not None and var > 0
+    first = np.empty(b, dtype=np.int64)
+    for rows in _row_blocks(b, n):
+        rel = log_rel[rows]
+        hit = rel <= log_bar
+        if bridge:
+            u = uniforms[rows]
+            rhs = rel - log_bar
+            e = np.empty_like(rhs)  # -2 lhs rhs / var, lhs being rhs one step earlier
+            with np.errstate(over="ignore"):
+                e[:, 0] = -2.0 * -log_bar
+                np.multiply(rhs[:, :-1], -2.0, out=e[:, 1:])
+                e *= rhs
+                e /= var
+            above = rhs > 0
+            cand = np.empty_like(above)  # both ends above the barrier
+            cand[:, 0] = above[:, 0] & (-log_bar > 0)
+            np.logical_and(above[:, 1:], above[:, :-1], out=cand[:, 1:])
+            cand &= (e > _BRIDGE_CUT) | (u == 0)
+            np.exp(e, out=e, where=cand)
+            cand &= u < e
+            hit |= cand
+        first[rows] = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, n + 1)
+    return first
 
 
 @dataclass(frozen=True)
@@ -247,12 +272,6 @@ def _rule_steps(tr, m, log_rel, col, stop_idx, frozen, times):
     return g, u, stopped
 
 
-# Path-steps per sub-block of the trajectory pass, 512 KiB per float64
-# temporary.  Blocks that stay in cache run the pass about twice as fast as
-# 2048-row blocks at 1024 steps, and keep its temporaries far below a chunk.
-_TRAJECTORY_CELLS = 2**16
-
-
 def _trajectory_stats(tr, m, grid, log_rel, stop_idx, frozen):
     """:class:`TrajectoryStats` of one block of paths, a few rows at a time.
 
@@ -261,10 +280,8 @@ def _trajectory_stats(tr, m, grid, log_rel, stop_idx, frozen):
     col = np.arange(1, grid.n_steps + 1)
     times = grid.times[1:]
     cap = tr.u0 + tr.k * tr.v0  # |u| bound is this plus k times the account value
-    n_rows = max(1, _TRAJECTORY_CELLS // grid.n_steps)
     stats = TrajectoryStats()
-    for first in range(0, len(stop_idx), n_rows):
-        rows = slice(first, first + n_rows)
+    for rows in _row_blocks(len(stop_idx), grid.n_steps):
         g, u, stopped = _rule_steps(tr, m, log_rel[rows], col, stop_idx[rows], frozen[rows], times)
         active = ~stopped
         long_only = np.count_nonzero((u <= 0) & active)

@@ -111,22 +111,42 @@ def compare(
     )
 
 
+# first span exponents tested; the scan's other exponents, within +-200, are
+# tested only when its answer lies beyond these
+_FIRST_EXPONENTS = np.arange(-64, 17)
+_ALL_EXPONENTS = np.arange(-200, 201)
+
+
 def _quantile(ctx: ShorthandContext, t_end: float, q: float) -> float:
     """First level ``floor + span/2 (1 + j/128)``, j = 1..128, where the gain CDF reaches ``q``.
 
-    ``span`` is first doubled or halved until the quantile lies in ``(span/2, span]``.
+    ``span`` is ``start 2**e`` with ``start = max(1, |floor|) u0/k``: the
+    first ``e`` in 0..200 whose level ``floor + span`` reaches ``q`` or, when
+    ``e = 0`` already does, the lowest ``e`` down to -200 above which every
+    level stays above the floor and reaches ``q``.  The quantile then lies
+    in ``(span/2, span]``.  The levels of a range of ``e`` are tested in one
+    call, so one or two calls find ``span``.
     """
     floor = _law_floor(ctx, t_end)
-    span = max(1.0, abs(floor)) * ctx.trade.u0 / ctx.trade.k
-    for _ in range(200):
-        if cdf_with_stop(CdfQuery(floor + span, t_end), ctx).p >= q:
-            break
-        span *= 2.0
-    for _ in range(200):
-        half = floor + 0.5 * span
-        if not (half > floor and cdf_with_stop(CdfQuery(half, t_end), ctx).p >= q):
-            break
-        span *= 0.5
+    start = max(1.0, abs(floor)) * ctx.trade.u0 / ctx.trade.k
+
+    def span_exponent(exps):  # None when the answer lies outside exps
+        x = floor + np.ldexp(start, exps)
+        reached = cdf_with_stop(CdfQuery(x, t_end), ctx).p >= q
+        if reached[exps == 0][0]:
+            misses = exps[(exps < 0) & ~(reached & (x > floor))]
+            if misses.size:
+                return int(misses.max()) + 1
+            return -200 if exps[0] == -200 else None
+        hits = exps[(exps > 0) & reached]
+        if hits.size:
+            return int(hits.min())
+        return 200 if exps[-1] == 200 else None
+
+    e = span_exponent(_FIRST_EXPONENTS)
+    if e is None:
+        e = span_exponent(_ALL_EXPONENTS)
+    span = float(np.ldexp(start, e))
     levels = floor + 0.5 * span * (1.0 + np.arange(1, 129) / 128)
     reached = cdf_with_stop(CdfQuery(levels, t_end), ctx).p >= q
     reached[-1] = True  # the last level is floor + span, already checked

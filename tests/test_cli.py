@@ -10,6 +10,7 @@ import pytest
 from stopgain import cli, simulate, verify
 from stopgain.cdf import CdfQuery, ShorthandContext, cdf_with_stop
 from stopgain.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
+from stopgain.errors import DomainError
 from stopgain.model import MarketParams, TradeSpec
 from stopgain.simulate import PathGrid, run_batch
 
@@ -238,6 +239,19 @@ class TestSimulate:
         assert kept.read_bytes() == b"earlier output\n"
         assert not fresh.exists()
 
+    def test_vanishing_bridge_variance(self, capsys, tmp_path):
+        # sigma**2 dt underflows to 0: no crossing is possible, so the bridged
+        # run writes the grid-only bytes, with no divide-by-zero warning
+        args = ["simulate", "--mu", "0.5", "--sigma", "1e-161", "--s0", "1", "--sstar", "0.5",
+                "--u0", "1", "--t", "1", "--k", "2", "--paths", "3", "--steps", "1024",
+                "--seed", "1"]
+        bridged, plain = tmp_path / "bridged.csv", tmp_path / "plain.csv"
+        assert main(args + ["--out", str(bridged)]) == EXIT_OK
+        assert main(args + ["--no-bridge", "--out", str(plain)]) == EXIT_OK
+        capsys.readouterr()
+        assert bridged.read_bytes() == plain.read_bytes()
+        assert len(bridged.read_text().splitlines()) == 4
+
 
 # SHA-256 of seeded `simulate` CSVs as the per-row formatter wrote them.  20000
 # paths of 16 steps make two chunks of the default budget, so the two-worker
@@ -399,6 +413,51 @@ class TestVerify:
         report = json.loads(out)
         assert "skipped" in report["cdf_comparison"]
         assert report["passed"] is True
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["--paths", "0"], ["--sstar", "2"], ["--seed", "-1"], ["--workers", "0"],
+         ["--steps", "20000000"]],  # one path over the default memory budget
+    )
+    def test_rejected_run_simulates_nothing_and_leaves_out_alone(
+        self, capsys, tmp_path, simulated, bad
+    ):
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_bytes(b"earlier report\n")
+        for out in (kept, fresh):
+            rc, _, err = run(capsys, self.BASE + bad + ["--out", str(out)])
+            assert rc == EXIT_USAGE
+            assert err.startswith("error:")
+        assert kept.read_bytes() == b"earlier report\n"
+        assert not fresh.exists()
+        assert simulated["run_batch"] == 0
+
+    @pytest.mark.parametrize("where", ["under_a_file", "a_directory", "missing_directory"])
+    def test_bad_out_fails_before_simulating(self, capsys, tmp_path, simulated, where):
+        (tmp_path / "afile").write_text("")
+        out = {"under_a_file": tmp_path / "afile" / "x.json", "a_directory": tmp_path,
+               "missing_directory": tmp_path / "none" / "x.json"}[where]
+        rc, _, err = run(capsys, self.BASE + ["--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert err.startswith("error:")
+        assert simulated["run_batch"] == 0
+        assert (tmp_path / "afile").read_text() == ""
+        assert not (tmp_path / "none").exists()
+
+    def test_late_failure_leaves_out_alone(self, capsys, tmp_path, monkeypatch):
+        # a law that fails after the simulation must not have truncated --out
+        def fail(*args, **kwargs):
+            raise DomainError("no law here")
+
+        monkeypatch.setattr(verify, "law_report", fail)
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_bytes(b"earlier report\n")
+        for out in (kept, fresh):
+            rc, _, err = run(capsys, self.BASE + ["--out", str(out)])
+            assert rc == EXIT_USAGE
+            assert "no law here" in err
+        assert kept.read_bytes() == b"earlier report\n"
+        assert not fresh.exists()
 
     def test_unsurvivable_legs_reported_skipped(self, capsys):
         rc, out, _ = run(

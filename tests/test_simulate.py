@@ -8,10 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stopgain import simulate
 from stopgain.cdf import ShorthandContext, stopping_time_cdf
 from stopgain.errors import ParameterError, ResourceError
 from stopgain.model import MarketParams, TradeSpec, g_star, g_star_t, gain_no_stop
 from stopgain.simulate import (
+    _BLOCK_CELLS,
+    _BRIDGE_CUT,
     _CSV_BLOCK_ROWS,
     PathGrid,
     TrajectoryStats,
@@ -198,6 +201,146 @@ class TestDetectStop:
                 assert batch.stop_time[i] == grid.times[bridged[i]]
                 assert log_rel[i, bridged[i] - 1] > LOG_BAR  # grid never saw the touch
         assert hits > 0  # the correction must actually fire sometimes
+
+
+def _first_touch_reference(log_rel, log_bar, sigma, dt, uniforms):
+    """The dense first-touch search the row-block kernel replaced.
+
+    Every cell's crossing probability is formed over the whole chunk, with
+    ``exp`` on every cell; the reference for :func:`_first_touch`.
+    """
+    b, n = log_rel.shape
+    below = log_rel <= log_bar
+    hit = below.any(axis=1)
+    first_below = np.where(hit, below.argmax(axis=1) + 1, n + 1)
+    if uniforms is None:
+        return first_below
+    lhs = np.empty_like(log_rel)
+    lhs[:, 0] = -log_bar
+    lhs[:, 1:] = log_rel[:, :-1] - log_bar
+    rhs = log_rel - log_bar
+    with np.errstate(over="ignore"):
+        p_cross = -2.0 * lhs
+        p_cross *= rhs
+        p_cross /= sigma**2 * dt
+        np.exp(p_cross, out=p_cross)
+    bridge_hit = (lhs > 0) & (rhs > 0) & (uniforms < p_cross)
+    any_bridge = bridge_hit.any(axis=1)
+    first_bridge = np.where(any_bridge, bridge_hit.argmax(axis=1) + 1, n + 2)
+    return np.minimum(first_below, first_bridge)
+
+
+def _kernel_inputs(n_steps, n_paths, seed=4711):
+    """Log prices, bridge draws and dt of a demo chunk, barrier 0.5."""
+    grid = PathGrid(1.0, n_steps)
+    log_rel, _ = _chunk_paths(DEMO, TRADE1, grid, seed, 0, n_paths, False)
+    return log_rel, _block_uniforms(_stream_keys(seed)[1], 0, n_paths, n_steps), grid.dt
+
+
+class TestFirstTouchKernel:
+    """The row-block bridge search gives the dense search's stops bit for bit."""
+
+    @pytest.mark.parametrize("n_steps", [1, 16, 1024])
+    def test_matches_dense_reference(self, n_steps):
+        # two whole row blocks and three rows of a third
+        n_paths = 2 * max(1, _BLOCK_CELLS // n_steps) + 3
+        log_rel, u, dt = _kernel_inputs(n_steps, n_paths)
+        got = _first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, u)
+        want = _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, dt, u)
+        assert np.array_equal(got, want)
+        grid_only = _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, dt, None)
+        assert (got < grid_only).any()  # the bridge fires
+        assert np.array_equal(_first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, None), grid_only)
+
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
+    @pytest.mark.parametrize("n_steps", [1, 16, 1024])
+    def test_batch_matches_dense_reference(self, monkeypatch, k, n_steps):
+        trade = TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5)
+        grid = PathGrid(1.0, n_steps)
+        n_paths = 300 if n_steps == 1024 else 3000
+        batch = run_batch(DEMO, trade, grid, n_paths, 808, trajectory=True)
+        monkeypatch.setattr(simulate, "_first_touch", _first_touch_reference)
+        ref = run_batch(DEMO, trade, grid, n_paths, 808, trajectory=True)
+        assert batch.stopped.any()
+        assert np.array_equal(batch.stop_time, ref.stop_time, equal_nan=True)
+        assert np.array_equal(batch.terminal_gain, ref.terminal_gain)
+        assert batch.trajectory == ref.trajectory
+
+    def test_one_row(self):
+        log_rel, u, dt = _kernel_inputs(1024, 64)
+        batch = _first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, u)
+        for i in range(64):
+            row = slice(i, i + 1)
+            assert _first_touch(log_rel[row], LOG_BAR, DEMO.sigma, dt, u[row])[0] == batch[i]
+
+    def test_zero_draws_are_candidates(self):
+        # a draw of exactly 0 crosses wherever exp of the exponent is positive,
+        # however far below the cut the exponent lies
+        log_rel, u, dt = _kernel_inputs(1024, 150)
+        grid_only = _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, dt, None)
+        rng = np.random.default_rng(5)
+        u = u.copy()
+        rows = rng.choice(150, 50, replace=False)
+        u[rows, rng.integers(0, 1024, 50)] = 0.0
+        got = _first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, u)
+        assert np.array_equal(got, _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, dt, u))
+        moved = got[rows] < grid_only[rows]
+        assert moved.sum() >= 10
+
+    DT = 1.0 / 64
+
+    def _exponent(self, end):
+        """Bridge exponent of a step from 0.6 to ``end``, in the kernel's operation order."""
+        lhs, rhs = np.log(0.6) - LOG_BAR, np.log(end) - LOG_BAR
+        return -2.0 * lhs * rhs / (DEMO.sigma**2 * self.DT)
+
+    def _ends_around(self, target):
+        """Adjacent end prices whose exponents lie above and at or below ``target``."""
+        lo, hi = 0.6, 100.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if self._exponent(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        assert self._exponent(hi) <= target < self._exponent(lo)
+        return lo, hi
+
+    def _stop(self, end, draw):
+        """Stop index of the path 0.6, ``end``, 0.4 with ``draw`` on step 2 and no other crossing."""
+        log_rel = np.log(np.array([[0.6, end, 0.4]]))
+        u = np.array([[1.0 - 2.0**-53, draw, 1.0 - 2.0**-53]])
+        want = _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, self.DT, u)[0]
+        assert _first_touch(log_rel, LOG_BAR, DEMO.sigma, self.DT, u)[0] == want
+        return want
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_exponent_either_side_of_the_cut(self, side):
+        # step 2 ends where its exponent sits a few ulps below or above the
+        # cut; only a draw of 0 crosses there, never the smallest positive
+        # draw 2**-53
+        above, end = self._ends_around(_BRIDGE_CUT)
+        if side == "below":
+            while self._exponent(end) >= _BRIDGE_CUT:
+                end = np.nextafter(end, np.inf)
+        else:
+            end = above
+        e = self._exponent(end)
+        assert (e > _BRIDGE_CUT) == (side == "above")
+        assert abs(e - _BRIDGE_CUT) < 1e-12
+        assert [self._stop(end, draw) for draw in (0.0, 2.0**-53, 0.5)] == [2, 3, 3]
+
+    def test_smallest_draw_crosses_above_its_log(self):
+        # exp(-36) > 2**-53 > exp(-37): the cut must lie below ln(2**-53) = -36.7
+        assert self._stop(self._ends_around(-36.0)[0], 2.0**-53) == 2
+        assert self._stop(self._ends_around(-37.0)[0], 2.0**-53) == 3
+
+    def test_variance_underflow_leaves_grid_touches(self):
+        # sigma**2 dt is 0: no crossing, even on a draw of 0, and no division by 0
+        log_rel = np.log(np.array([[0.6, 0.7, 0.4], [0.9, 0.8, 0.7]]))
+        u = np.zeros_like(log_rel)
+        got = _first_touch(log_rel, LOG_BAR, 1e-161, 1.0 / 1024, u)
+        assert got.tolist() == [3, 4]
 
 
 class TestGainTrajectory:

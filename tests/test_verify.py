@@ -113,6 +113,25 @@ class TestCompare:
         assert compare(e, theory, grid).sup_distance <= exact + 1e-12
 
 
+def _quantile_reference(ctx, t_end, q):
+    """The scalar span search the array search replaced: one law call per doubling or halving."""
+    floor = _law_floor(ctx, t_end)
+    span = max(1.0, abs(floor)) * ctx.trade.u0 / ctx.trade.k
+    for _ in range(200):
+        if cdf_with_stop(CdfQuery(floor + span, t_end), ctx).p >= q:
+            break
+        span *= 2.0
+    for _ in range(200):
+        half = floor + 0.5 * span
+        if not (half > floor and cdf_with_stop(CdfQuery(half, t_end), ctx).p >= q):
+            break
+        span *= 0.5
+    levels = floor + 0.5 * span * (1.0 + np.arange(1, 129) / 128)
+    reached = cdf_with_stop(CdfQuery(levels, t_end), ctx).p >= q
+    reached[-1] = True
+    return float(levels[np.argmax(reached)])
+
+
 class TestComparisonGrid:
     @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
     def test_covers_floor_and_upper_tail(self, k):
@@ -146,8 +165,10 @@ class TestComparisonGrid:
         assert cdf_with_stop(CdfQuery(top - hi / 256, t), ctx).p < 0.999
 
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
-    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5, 20.0, 50.0])
     def test_few_law_calls(self, monkeypatch, k, t):
+        # one or two array calls find the span's power of two, one more its
+        # lattice level, however far the span lies from max(1, |floor|) u0/k
         calls = []
 
         def counted(q, ctx):
@@ -156,7 +177,25 @@ class TestComparisonGrid:
 
         monkeypatch.setattr(verify, "cdf_with_stop", counted)
         comparison_grid(ctx_for(k), t)
-        assert len(calls) <= 20
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5, 20.0, 50.0])
+    def test_matches_scalar_search(self, k, t):
+        ctx = ctx_for(k)
+        assert verify._quantile(ctx, t, 0.999) == _quantile_reference(ctx, t, 0.999)
+
+    @pytest.mark.parametrize("market", [
+        # at t = 4 the span lies above the first exponents at k = 1 and
+        # below them at k = 50, so the search makes its second call there
+        MarketParams(mu=5.0, sigma=2.0, s0=1.0),
+        MarketParams(mu=0.5, sigma=1e-3, s0=1.0),
+    ], ids=["wide", "narrow"])
+    @pytest.mark.parametrize("k", [1.0, 0.05, 50.0])
+    def test_matches_scalar_search_off_demo(self, market, k):
+        ctx = ShorthandContext(market, TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5))
+        for t in (0.25, 4.0):
+            assert verify._quantile(ctx, t, 0.999) == _quantile_reference(ctx, t, 0.999)
 
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
