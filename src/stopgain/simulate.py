@@ -97,28 +97,25 @@ def _block_uniforms(key: np.ndarray, first_path: int, n_paths: int, n_steps: int
 
 
 def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
-    return ndtri(np.maximum(u, _U_FLOOR))
+    """Standard normals from ``u``, computed in place: the uniforms are consumed."""
+    return ndtri(np.maximum(u, _U_FLOOR, out=u), out=u)
 
 
-# Path-steps per row block of the chunk kernel's per-cell passes (first
-# touch, trajectory), 512 KiB per float64 temporary.  Blocks that stay in
-# cache ran the trajectory pass about twice as fast as 2048-row blocks at
-# 1024 steps, and keep every temporary far below a chunk.
-_BLOCK_CELLS = 2**16
+# Path-steps per row block of the chunk kernel.  A float64 temporary is then
+# 128 KiB, glibc's default mmap threshold, and a block's half dozen fit in a
+# 2 MiB L2 cache.  Blocks of 2**15 and 2**16 cells made glibc hand their
+# temporaries back to the OS and fault them in again for every block (250k to
+# 540k minor faults per 50000 x 1024 batch, against about 400); blocks of
+# 2**13 cells or fewer spent more on per-block calls than they saved.
+_BLOCK_CELLS = 2**14
 
 # A bridge cell whose exponent is at most this cannot cross unless its draw is
 # exactly 0: exp(-40) < 2**-54, below the smallest positive Philox uniform.
 _BRIDGE_CUT = -40.0
 
 
-def _row_blocks(n_rows, n_steps):
-    """Row slices of ``n_rows`` paths of ``n_steps`` steps, about :data:`_BLOCK_CELLS` cells each."""
-    step = max(1, _BLOCK_CELLS // n_steps)
-    return (slice(first, first + step) for first in range(0, n_rows, step))
-
-
 def _first_touch(log_rel, log_bar, sigma, dt, uniforms):
-    """First stop index per row, in [1, n]; n+1 when never touched.
+    """First stop index per row of one row block, in [1, n]; n+1 when never touched.
 
     ``log_rel``: (b, n) log prices relative to the start, excluding time 0,
     on a grid of step ``dt``; a grid point at or below ``log_bar`` is a touch.
@@ -134,35 +131,28 @@ def _first_touch(log_rel, log_bar, sigma, dt, uniforms):
     gives.  Then a cell whose exponent is at most :data:`_BRIDGE_CUT` crosses
     only on a draw of exactly 0, so ``exp`` runs only on the cells that can
     cross (both ends above the barrier, and an exponent above the cut or a
-    zero draw) and the stops are those of evaluating every cell.  The rows
-    are visited a block at a time, so no temporary is as large as the chunk.
+    zero draw) and the stops are those of evaluating every cell.
     """
-    b, n = log_rel.shape
+    n = log_rel.shape[1]
+    hit = log_rel <= log_bar
     var = sigma**2 * dt
-    bridge = uniforms is not None and var > 0
-    first = np.empty(b, dtype=np.int64)
-    for rows in _row_blocks(b, n):
-        rel = log_rel[rows]
-        hit = rel <= log_bar
-        if bridge:
-            u = uniforms[rows]
-            rhs = rel - log_bar
-            e = np.empty_like(rhs)  # -2 lhs rhs / var, lhs being rhs one step earlier
-            with np.errstate(over="ignore"):
-                e[:, 0] = -2.0 * -log_bar
-                np.multiply(rhs[:, :-1], -2.0, out=e[:, 1:])
-                e *= rhs
-                e /= var
-            above = rhs > 0
-            cand = np.empty_like(above)  # both ends above the barrier
-            cand[:, 0] = above[:, 0] & (-log_bar > 0)
-            np.logical_and(above[:, 1:], above[:, :-1], out=cand[:, 1:])
-            cand &= (e > _BRIDGE_CUT) | (u == 0)
-            np.exp(e, out=e, where=cand)
-            cand &= u < e
-            hit |= cand
-        first[rows] = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, n + 1)
-    return first
+    if uniforms is not None and var > 0:
+        rhs = log_rel - log_bar
+        e = np.empty_like(rhs)  # -2 lhs rhs / var, lhs being rhs one step earlier
+        with np.errstate(over="ignore"):
+            e[:, 0] = -2.0 * -log_bar
+            np.multiply(rhs[:, :-1], -2.0, out=e[:, 1:])
+            e *= rhs
+            e /= var
+        above = rhs > 0
+        cand = np.empty_like(above)  # both ends above the barrier
+        cand[:, 0] = above[:, 0] & (-log_bar > 0)
+        np.logical_and(above[:, 1:], above[:, :-1], out=cand[:, 1:])
+        cand &= (e > _BRIDGE_CUT) | (uniforms == 0)
+        np.exp(e, out=e, where=cand)
+        cand &= uniforms < e
+        hit |= cand
+    return np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, n + 1)
 
 
 @dataclass(frozen=True)
@@ -245,13 +235,14 @@ def _chunk_paths(m, tr, grid, master_seed, first_path, n_paths, bridge):
     return log_rel, stop_idx
 
 
-def _stops(tr, m, grid, stop_idx):
-    """Stop time of each path and the gain frozen at it, both NaN where the stop never fired."""
-    stopped = stop_idx <= grid.n_steps
-    stop_time = np.full(len(stop_idx), np.nan)
-    stop_time[stopped] = grid.times[stop_idx[stopped]]
+def _stops(tr, m, grid):
+    """Stop time and the gain a stop then locks in, as tables over stop indices 0..n+1.
+
+    Both are NaN at n+1, the index of a path whose stop never fired.
+    """
+    stop_time = np.append(grid.times, np.nan)
     if tr.s_star is None:
-        return stop_time, stop_time.copy()
+        return stop_time, np.full_like(stop_time, np.nan)
     return stop_time, gain(tr, m, math.log(tr.s_star / m.s0), stop_time)
 
 
@@ -272,52 +263,60 @@ def _rule_steps(tr, m, log_rel, col, stop_idx, frozen, times):
     return g, u, stopped
 
 
-def _trajectory_stats(tr, m, grid, log_rel, stop_idx, frozen):
-    """:class:`TrajectoryStats` of one block of paths, a few rows at a time.
+def _trajectory_stats(tr, m, log_rel, stop_idx, frozen, times):
+    """:class:`TrajectoryStats` of one row block of paths.
 
-    ``frozen`` is the per-path gain locked in at the stop.
+    ``frozen`` is the per-path gain locked in at the stop, and ``times`` the
+    grid times after the start.
     """
-    col = np.arange(1, grid.n_steps + 1)
-    times = grid.times[1:]
     cap = tr.u0 + tr.k * tr.v0  # |u| bound is this plus k times the account value
-    stats = TrajectoryStats()
-    for rows in _row_blocks(len(stop_idx), grid.n_steps):
-        g, u, stopped = _rule_steps(tr, m, log_rel[rows], col, stop_idx[rows], frozen[rows], times)
-        active = ~stopped
-        long_only = np.count_nonzero((u <= 0) & active)
-        min_u_active = np.min(u, where=active, initial=math.inf)
-        np.abs(u, out=u)
-        v = g  # the account value v0 + g, in place of g
-        v += tr.v0
-        min_v = v.min()
-        survivability = np.count_nonzero(v < 0)
-        v *= tr.k
-        v += cap
-        excess = u  # |u| - (cap + k v), in place of |u|
-        excess -= v
-        stats = stats.merge(
-            TrajectoryStats(
-                float(min_v), float(min_u_active), 0.0, float(excess.max()),
-                int(survivability), int(long_only), int(np.count_nonzero(excess > 0)),
-            )
-        )
-    return stats
+    col = np.arange(1, len(times) + 1)
+    g, u, stopped = _rule_steps(tr, m, log_rel, col, stop_idx, frozen, times)
+    active = ~stopped
+    long_only = np.count_nonzero((u <= 0) & active)
+    min_u_active = np.min(u, where=active, initial=math.inf)
+    np.abs(u, out=u)
+    v = g  # the account value v0 + g, in place of g
+    v += tr.v0
+    min_v = v.min()
+    survivability = np.count_nonzero(v < 0)
+    v *= tr.k
+    v += cap
+    excess = u  # |u| - (cap + k v), in place of |u|
+    excess -= v
+    return TrajectoryStats(
+        float(min_v), float(min_u_active), 0.0, float(excess.max()),
+        int(survivability), int(long_only), int(np.count_nonzero(excess > 0)),
+    )
 
 
 def _simulate_chunk(m, tr, grid, master_seed, first_path, n_paths, bridge, trajectory):
-    """Outcomes of one contiguous block of paths.
+    """Outcomes of one contiguous block of paths, a row block at a time.
 
     Returns ``(terminal, stop_time, free, stats)``: the terminal gain, the
     stop time (NaN where the stop never fired), the terminal gain without a
     stop order, and the block's :class:`TrajectoryStats` (None unless
-    ``trajectory``).  Every gain comes from :func:`model.gain`.
+    ``trajectory``).  Every gain comes from :func:`model.gain`.  Each row
+    block is drawn, searched and reduced before the next is drawn; the paths'
+    own streams make that the chunk-wide draw.
     """
-    log_rel, stop_idx = _chunk_paths(m, tr, grid, master_seed, first_path, n_paths, bridge)
-    stop_time, frozen = _stops(tr, m, grid, stop_idx)
-    free = gain(tr, m, log_rel[:, -1], grid.t_end)
-    terminal = np.where(stop_idx <= grid.n_steps, frozen, free)
-    stats = _trajectory_stats(tr, m, grid, log_rel, stop_idx, frozen) if trajectory else None
-    return terminal, stop_time, free, stats
+    n = grid.n_steps
+    stop_time, frozen = _stops(tr, m, grid)
+    stop_idx = np.empty(n_paths, dtype=np.int64)
+    last = np.empty(n_paths)  # log price ratio at t_end
+    stats = TrajectoryStats() if trajectory else None
+    step = max(1, _BLOCK_CELLS // n)
+    for first in range(0, n_paths, step):
+        rows = slice(first, min(first + step, n_paths))
+        log_rel, stop_idx[rows] = _chunk_paths(
+            m, tr, grid, master_seed, first_path + first, rows.stop - first, bridge
+        )
+        last[rows] = log_rel[:, -1]
+        if trajectory:
+            block = stop_idx[rows]
+            stats = stats.merge(_trajectory_stats(tr, m, log_rel, block, frozen[block], stop_time[1:-1]))
+    free = gain(tr, m, last, grid.t_end)
+    return np.where(stop_idx <= n, frozen[stop_idx], free), stop_time[stop_idx], free, stats
 
 
 @dataclass(frozen=True)
@@ -356,7 +355,7 @@ def path_trajectory(
         require_stop(tr, m)
     log_rel, stop_idx = _chunk_paths(m, tr, grid, master_seed, path_index, 1, bridge)
     log_rel = np.pad(log_rel, ((0, 0), (1, 0)))  # time 0, where the log price ratio is 0
-    _, frozen = _stops(tr, m, grid, stop_idx)
+    frozen = _stops(tr, m, grid)[1][stop_idx]
     g, u, _ = _rule_steps(tr, m, log_rel, np.arange(grid.n_steps + 1), stop_idx, frozen, grid.times)
     stop = int(stop_idx[0])
     return PathTrajectory(
@@ -379,7 +378,8 @@ def _check_batch_args(m, tr, grid, n_paths, master_seed, n_workers, memory_budge
     if not n_workers >= 1:
         raise ParameterError(f"n_workers must be >= 1 (got {n_workers})")
 
-    # six float64 matrices of padded width is the peak working set per path
+    # six padded float64 rows bound the working set of a one-path row block;
+    # the same figure per path sets the chunk size, the unit of work for workers
     per_path_bytes = 8 * 4 * _counters_per_path(grid.n_steps) * 6
     budget = int(memory_budget_mb) * 2**20
     if per_path_bytes > budget:
@@ -407,8 +407,9 @@ def run_batch(
 
     Output order is by path index and is bit-identical for any ``n_workers``
     and any chunking, because every path owns its own random stream.  Chunks
-    are sized so the working set stays inside ``memory_budget_mb``; a grid so
-    fine that a single path exceeds the budget raises :class:`ResourceError`.
+    are simulated a row block at a time, so the working set is one block plus
+    about 40 bytes a path.  ``memory_budget_mb`` sets the chunk size, and a grid so
+    fine that one path's block exceeds it raises :class:`ResourceError`.
     With a ``sink`` (writable text stream), rows ``path_index,t_star,gain``
     are also written in index order, with 17 significant digits and an empty
     ``t_star`` field for paths that never stop.  Rows are formatted a chunk

@@ -111,12 +111,6 @@ def compare(
     )
 
 
-# first span exponents tested; the scan's other exponents, within +-200, are
-# tested only when its answer lies beyond these
-_FIRST_EXPONENTS = np.arange(-64, 17)
-_ALL_EXPONENTS = np.arange(-200, 201)
-
-
 def _quantile(ctx: ShorthandContext, t_end: float, q: float) -> float:
     """First level ``floor + span/2 (1 + j/128)``, j = 1..128, where the gain CDF reaches ``q``.
 
@@ -124,28 +118,20 @@ def _quantile(ctx: ShorthandContext, t_end: float, q: float) -> float:
     first ``e`` in 0..200 whose level ``floor + span`` reaches ``q`` or, when
     ``e = 0`` already does, the lowest ``e`` down to -200 above which every
     level stays above the floor and reaches ``q``.  The quantile then lies
-    in ``(span/2, span]``.  The levels of a range of ``e`` are tested in one
-    call, so one or two calls find ``span``.
+    in ``(span/2, span]``.  The levels of all 401 ``e`` are tested in one
+    call, and a second call picks the level.
     """
     floor = _law_floor(ctx, t_end)
     start = max(1.0, abs(floor)) * ctx.trade.u0 / ctx.trade.k
-
-    def span_exponent(exps):  # None when the answer lies outside exps
-        x = floor + np.ldexp(start, exps)
-        reached = cdf_with_stop(CdfQuery(x, t_end), ctx).p >= q
-        if reached[exps == 0][0]:
-            misses = exps[(exps < 0) & ~(reached & (x > floor))]
-            if misses.size:
-                return int(misses.max()) + 1
-            return -200 if exps[0] == -200 else None
+    exps = np.arange(-200, 201)
+    x = floor + np.ldexp(start, exps)
+    reached = cdf_with_stop(CdfQuery(x, t_end), ctx).p >= q
+    if reached[exps == 0][0]:
+        misses = exps[(exps < 0) & ~(reached & (x > floor))]
+        e = int(misses.max()) + 1 if misses.size else -200
+    else:
         hits = exps[(exps > 0) & reached]
-        if hits.size:
-            return int(hits.min())
-        return 200 if exps[-1] == 200 else None
-
-    e = span_exponent(_FIRST_EXPONENTS)
-    if e is None:
-        e = span_exponent(_ALL_EXPONENTS)
+        e = int(hits.min()) if hits.size else 200
     span = float(np.ldexp(start, e))
     levels = floor + 0.5 * span * (1.0 + np.arange(1, 129) / 128)
     reached = cdf_with_stop(CdfQuery(levels, t_end), ctx).p >= q

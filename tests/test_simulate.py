@@ -238,11 +238,12 @@ def _kernel_inputs(n_steps, n_paths, seed=4711):
 
 
 class TestFirstTouchKernel:
-    """The row-block bridge search gives the dense search's stops bit for bit."""
+    """The candidate-only bridge search gives the dense search's stops bit for bit."""
 
     @pytest.mark.parametrize("n_steps", [1, 16, 1024])
     def test_matches_dense_reference(self, n_steps):
-        # two whole row blocks and three rows of a third
+        # one call takes a block of any height: here that of two row blocks
+        # of the chunk kernel and three rows more
         n_paths = 2 * max(1, _BLOCK_CELLS // n_steps) + 3
         log_rel, u, dt = _kernel_inputs(n_steps, n_paths)
         got = _first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, u)
@@ -255,9 +256,12 @@ class TestFirstTouchKernel:
     @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
     @pytest.mark.parametrize("n_steps", [1, 16, 1024])
     def test_batch_matches_dense_reference(self, monkeypatch, k, n_steps):
+        # neither path count is a multiple of the kernel's block rows, so the
+        # last row block of the chunk is a partial one
         trade = TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5)
         grid = PathGrid(1.0, n_steps)
         n_paths = 300 if n_steps == 1024 else 3000
+        assert n_paths % max(1, _BLOCK_CELLS // n_steps)
         batch = run_batch(DEMO, trade, grid, n_paths, 808, trajectory=True)
         monkeypatch.setattr(simulate, "_first_touch", _first_touch_reference)
         ref = run_batch(DEMO, trade, grid, n_paths, 808, trajectory=True)
@@ -265,6 +269,10 @@ class TestFirstTouchKernel:
         assert np.array_equal(batch.stop_time, ref.stop_time, equal_nan=True)
         assert np.array_equal(batch.terminal_gain, ref.terminal_gain)
         assert batch.trajectory == ref.trajectory
+        # and the row blocks give the stops of one chunk-wide draw and search
+        _, stop_idx = _chunk_paths(DEMO, trade, grid, 808, 0, n_paths, True)
+        wide = np.where(stop_idx <= n_steps, grid.times[np.minimum(stop_idx, n_steps)], np.nan)
+        assert np.array_equal(batch.stop_time, wide, equal_nan=True)
 
     def test_one_row(self):
         log_rel, u, dt = _kernel_inputs(1024, 64)
@@ -491,19 +499,26 @@ class TestRunBatch:
             else:
                 assert float(t_field) == batch.stop_time[i]
 
+    @staticmethod
+    def _traced_peak(n_paths, **kwargs):
+        tracemalloc.start()
+        try:
+            run_batch(DEMO, TRADE2, PathGrid(1.0, 1024), n_paths, 3, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("trajectory", [False, True])
     def test_peak_memory_stays_inside_budget(self, trajectory):
         # 32 MiB over 6 padded float64 rows of 1024 steps is 682 paths a
         # chunk, so 1500 paths take three chunks
         budget_mb = 32
-        tracemalloc.start()
-        try:
-            run_batch(DEMO, TRADE2, PathGrid(1.0, 1024), 1500, 3,
-                      memory_budget_mb=budget_mb, trajectory=trajectory)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget_mb * 2**20
+        assert self._traced_peak(1500, memory_budget_mb=budget_mb, trajectory=trajectory) <= budget_mb * 2**20
+
+    def test_peak_memory_is_one_row_block(self):
+        # one chunk of 6000 paths peaks near 1 MiB: its outcomes and one row
+        # block's temporaries; chunk-wide matrices took 141 MiB
+        assert self._traced_peak(6000, trajectory=True) < 16 * 2**20
 
 
 def _reference_trajectory(m, tr, grid, n_paths, master_seed):
