@@ -2,7 +2,8 @@
 
 Subcommands cover closed-form evaluation (``eval``, ``curve``, ``stoptime``),
 simulation (``simulate``) and verification (``verify``, ``figure``).  Exit
-codes: 0 success, 1 a verification gate failed, 2 invalid input.  Every flag
+codes: 0 success, 1 a verification gate failed, 2 invalid input, 141 the
+reader of standard output closed it (as for a tool SIGPIPE ended).  Every flag
 may also come from a ``key=value`` config file; explicit flags win.
 """
 
@@ -26,6 +27,7 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_GATE = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 128 + 13  # 128 + SIGPIPE, what a shell shows for a tool SIGPIPE ended
 
 OUT_DIR_ENV = "STOPGAIN_OUT_DIR"
 
@@ -385,6 +387,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone (`| head`): stop quietly, and let the final flush
+        # of what is still buffered go to devnull instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (StopgainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,9 +14,11 @@ separately keyed stream, so toggling it never perturbs the price paths.
 """
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 from scipy.special import ndtri
@@ -84,16 +86,30 @@ def _counters_per_path(n_steps: int) -> int:
     return -(-n_steps // 4)
 
 
-def _block_uniforms(key: np.ndarray, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Uniforms for paths [first_path, first_path + n_paths), one row each.
+def _stream(key: np.ndarray, first_path: int, n_steps: int) -> np.random.Generator:
+    """Generator of the stream keyed ``key``, at the first counter of path ``first_path``."""
+    counter = int(first_path) * _counters_per_path(n_steps)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
-    A single contiguous Philox draw; row ``j`` reproduces exactly what a
-    fresh generator at counter ``(first_path + j) * C`` would emit.
+
+def _draw_uniforms(stream: np.random.Generator, n_paths: int, n_steps: int) -> np.ndarray:
+    """Uniforms of the next ``n_paths`` paths of ``stream``, one row each.
+
+    A row takes ``C`` whole counters of 4 variates each, so the draw ends
+    where the next path's counters begin: row ``j`` of any draw is exactly
+    what a fresh :func:`_stream` at that path would emit.
     """
-    c = _counters_per_path(n_steps)
-    bg = np.random.Philox(key=key, counter=int(first_path) * c)
-    u = np.random.Generator(bg).random((n_paths, 4 * c))
-    return u[:, :n_steps]
+    return stream.random((n_paths, 4 * _counters_per_path(n_steps)))[:, :n_steps]
+
+
+def _streams(tr, grid, master_seed, first_path, bridge):
+    """Price and bridge streams at path ``first_path``; the bridge one is None when unused."""
+    key_price, key_bridge = _stream_keys(master_seed)
+    uses_bridge = bridge and tr.s_star is not None
+    return (
+        _stream(key_price, first_path, grid.n_steps),
+        _stream(key_bridge, first_path, grid.n_steps) if uses_bridge else None,
+    )
 
 
 def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
@@ -132,6 +148,10 @@ def _first_touch(log_rel, log_bar, sigma, dt, uniforms):
     only on a draw of exactly 0, so ``exp`` runs only on the cells that can
     cross (both ends above the barrier, and an exponent above the cut or a
     zero draw) and the stops are those of evaluating every cell.
+
+    The caller runs it under ``np.errstate(over="ignore")``, entered once a
+    chunk: an exponent past the float range is -inf on a cell that cannot
+    cross, or +inf on a cell that is no candidate.
     """
     n = log_rel.shape[1]
     hit = log_rel <= log_bar
@@ -139,11 +159,10 @@ def _first_touch(log_rel, log_bar, sigma, dt, uniforms):
     if uniforms is not None and var > 0:
         rhs = log_rel - log_bar
         e = np.empty_like(rhs)  # -2 lhs rhs / var, lhs being rhs one step earlier
-        with np.errstate(over="ignore"):
-            e[:, 0] = -2.0 * -log_bar
-            np.multiply(rhs[:, :-1], -2.0, out=e[:, 1:])
-            e *= rhs
-            e /= var
+        e[:, 0] = -2.0 * -log_bar
+        np.multiply(rhs[:, :-1], -2.0, out=e[:, 1:])
+        e *= rhs
+        e /= var
         above = rhs > 0
         cand = np.empty_like(above)  # both ends above the barrier
         cand[:, 0] = above[:, 0] & (-log_bar > 0)
@@ -212,25 +231,27 @@ class BatchResult:
         return float(self.stopped.mean())
 
 
-def _chunk_paths(m, tr, grid, master_seed, first_path, n_paths, bridge):
-    """Log-relative price matrix and stop indices for one block of paths.
+def _chunk_paths(m, tr, grid, streams, n_paths):
+    """Log-relative price matrix and stop indices for the next ``n_paths`` paths of ``streams``.
 
-    Returns ``(log_rel, stop_idx)``: ``log_rel[j, i]`` is the log price ratio
-    at grid time ``i + 1`` for path ``first_path + j``, and ``stop_idx`` is
-    the per-path first-touch index in ``[1, n_steps]`` (``n_steps + 1`` when
-    the path never stops, everywhere when the trade has no stop order).
+    ``streams`` are the price and bridge streams of :func:`_streams`, each
+    left at the first path after this block.  Returns ``(log_rel,
+    stop_idx)``: ``log_rel[j, i]`` is the log price ratio at grid time
+    ``i + 1`` for the block's path ``j``, and ``stop_idx`` is the per-path
+    first-touch index in ``[1, n_steps]`` (``n_steps + 1`` when the path
+    never stops, everywhere when the trade has no stop order).
     """
-    key_price, key_bridge = _stream_keys(master_seed)
+    price, bridge = streams
     n = grid.n_steps
     dt = grid.dt
-    z = _normals_from_uniforms(_block_uniforms(key_price, first_path, n_paths, n))
+    z = _normals_from_uniforms(_draw_uniforms(price, n_paths, n))
     np.multiply(z, m.sigma * math.sqrt(dt), out=z)
     z += m.drift_rate * dt
     log_rel = np.cumsum(z, axis=1, out=z)
     if tr.s_star is None:
         return log_rel, np.full(n_paths, n + 1, dtype=np.int64)
     log_bar = math.log(tr.s_star / m.s0)
-    uniforms = _block_uniforms(key_bridge, first_path, n_paths, n) if bridge else None
+    uniforms = None if bridge is None else _draw_uniforms(bridge, n_paths, n)
     stop_idx = _first_touch(log_rel, log_bar, m.sigma, dt, uniforms)
     return log_rel, stop_idx
 
@@ -297,24 +318,27 @@ def _simulate_chunk(m, tr, grid, master_seed, first_path, n_paths, bridge, traje
     stop time (NaN where the stop never fired), the terminal gain without a
     stop order, and the block's :class:`TrajectoryStats` (None unless
     ``trajectory``).  Every gain comes from :func:`model.gain`.  Each row
-    block is drawn, searched and reduced before the next is drawn; the paths'
-    own streams make that the chunk-wide draw.
+    block is drawn, searched and reduced before the next is drawn, from one
+    pair of streams set up for the chunk; the paths' own counters make that
+    the chunk-wide draw.
     """
     n = grid.n_steps
     stop_time, frozen = _stops(tr, m, grid)
     stop_idx = np.empty(n_paths, dtype=np.int64)
     last = np.empty(n_paths)  # log price ratio at t_end
     stats = TrajectoryStats() if trajectory else None
+    streams = _streams(tr, grid, master_seed, first_path, bridge)
     step = max(1, _BLOCK_CELLS // n)
-    for first in range(0, n_paths, step):
-        rows = slice(first, min(first + step, n_paths))
-        log_rel, stop_idx[rows] = _chunk_paths(
-            m, tr, grid, master_seed, first_path + first, rows.stop - first, bridge
-        )
-        last[rows] = log_rel[:, -1]
-        if trajectory:
-            block = stop_idx[rows]
-            stats = stats.merge(_trajectory_stats(tr, m, log_rel, block, frozen[block], stop_time[1:-1]))
+    # for _first_touch; an overflowing gain in the trajectory pass still warns,
+    # as the inf - inf of its bound excess
+    with np.errstate(over="ignore"):
+        for first in range(0, n_paths, step):
+            rows = slice(first, min(first + step, n_paths))
+            log_rel, stop_idx[rows] = _chunk_paths(m, tr, grid, streams, rows.stop - first)
+            last[rows] = log_rel[:, -1]
+            if trajectory:
+                block = stop_idx[rows]
+                stats = stats.merge(_trajectory_stats(tr, m, log_rel, block, frozen[block], stop_time[1:-1]))
     free = gain(tr, m, last, grid.t_end)
     return np.where(stop_idx <= n, frozen[stop_idx], free), stop_time[stop_idx], free, stats
 
@@ -353,7 +377,8 @@ def path_trajectory(
     _check_stream(master_seed, path_index)
     if tr.s_star is not None:
         require_stop(tr, m)
-    log_rel, stop_idx = _chunk_paths(m, tr, grid, master_seed, path_index, 1, bridge)
+    with np.errstate(over="ignore"):  # for _first_touch
+        log_rel, stop_idx = _chunk_paths(m, tr, grid, _streams(tr, grid, master_seed, path_index, bridge), 1)
     log_rel = np.pad(log_rel, ((0, 0), (1, 0)))  # time 0, where the log price ratio is 0
     frozen = _stops(tr, m, grid)[1][stop_idx]
     g, u, _ = _rule_steps(tr, m, log_rel, np.arange(grid.n_steps + 1), stop_idx, frozen, grid.times)
@@ -364,8 +389,20 @@ def path_trajectory(
     )
 
 
-def _chunk_worker(args):
-    return _simulate_chunk(*args)
+def _in_order(pool, jobs, window):
+    """Results of the :func:`_simulate_chunk` ``jobs`` in job order, run on ``pool``.
+
+    At most ``window`` chunks are submitted and not yet taken, so the pool
+    runs ahead of a slow consumer by a bounded amount and no finished result
+    waits long in memory.
+    """
+    pending = deque()
+    for job in jobs:
+        pending.append(pool.submit(_simulate_chunk, *job))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def _check_batch_args(m, tr, grid, n_paths, master_seed, n_workers, memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB):
@@ -402,52 +439,65 @@ def run_batch(
     sink=None,
     free_gain: bool = False,
     trajectory: bool = False,
-) -> BatchResult:
+) -> BatchResult | None:
     """Simulate ``n_paths`` paths and collect terminal gains and stop times.
 
     Output order is by path index and is bit-identical for any ``n_workers``
     and any chunking, because every path owns its own random stream.  Chunks
     are simulated a row block at a time, so the working set is one block plus
-    about 40 bytes a path.  ``memory_budget_mb`` sets the chunk size, and a grid so
-    fine that one path's block exceeds it raises :class:`ResourceError`.
+    about 40 bytes a path of the chunk, and 16 bytes a path of the batch for
+    the result.  ``memory_budget_mb`` sets the chunk size, and a grid so fine
+    that one path's block exceeds it raises :class:`ResourceError`.
+    With ``n_workers > 1`` the chunks run in worker processes, at most
+    ``2 * n_workers`` of them submitted and not yet taken at any time.
+
     With a ``sink`` (writable text stream), rows ``path_index,t_star,gain``
-    are also written in index order, with 17 significant digits and an empty
-    ``t_star`` field for paths that never stop.  Rows are formatted a chunk
-    at a time as each chunk arrives; their bytes depend only on the seed and
-    the model, grid and trade arguments, not on ``n_workers`` or
+    are written in index order instead, with 17 significant digits and an
+    empty ``t_star`` field for paths that never stop, and ``None`` is
+    returned.  Rows are formatted a chunk at a time as each chunk arrives,
+    and nothing is kept per path, so the memory used is that of a few chunks
+    whatever ``n_paths`` and however slow the sink.  The bytes depend only on
+    the seed and the model, grid and trade arguments, not on ``n_workers`` or
     ``memory_budget_mb``.
 
-    Two extras come from the same pass, so no caller simulates the paths
-    again: ``free_gain=True`` keeps each path's terminal gain without the
-    stop order (8 bytes a path, which a batch streamed to a sink does not
-    need), and ``trajectory=True`` reduces every step of every path to the
-    :class:`TrajectoryStats` of the result.
+    Two extras come from the same pass of an in-memory batch, so no caller
+    simulates the paths again: ``free_gain=True`` keeps each path's terminal
+    gain without the stop order (8 bytes a path), and ``trajectory=True``
+    reduces every step of every path to the :class:`TrajectoryStats` of the
+    result.  A batch streamed to a sink takes neither
+    (:class:`ParameterError`).
 
     ``tr.s_star is None`` disables stop detection entirely: the result then
     holds always-active terminal gains and all-NaN stop times.
     """
     chunk = _check_batch_args(m, tr, grid, n_paths, master_seed, n_workers, memory_budget_mb)
-    starts = list(range(0, int(n_paths), chunk))
-    jobs = [
-        (m, tr, grid, int(master_seed), s, min(chunk, int(n_paths) - s), bridge, trajectory)
+    if sink is not None and (free_gain or trajectory):
+        raise ParameterError("a batch streamed to a sink keeps no free gains or trajectory statistics")
+    n_paths = int(n_paths)
+    starts = range(0, n_paths, chunk)
+    jobs = (
+        (m, tr, grid, int(master_seed), s, min(chunk, n_paths - s), bridge, trajectory)
         for s in starts
-    ]
-    terminal = np.empty(int(n_paths))
-    stop_time = np.empty(int(n_paths))
-    free = np.empty(int(n_paths)) if free_gain else None
-    stats = TrajectoryStats() if trajectory else None
-
-    pool = ProcessPoolExecutor(max_workers=int(n_workers)) if n_workers > 1 and len(jobs) > 1 else None
+    )
+    pool = ProcessPoolExecutor(max_workers=int(n_workers)) if n_workers > 1 and len(starts) > 1 else None
     with pool or nullcontext():
-        for s, (term, st, fr, part) in zip(starts, (pool.map if pool else map)(_chunk_worker, jobs)):
+        results = _in_order(pool, jobs, 2 * int(n_workers)) if pool else starmap(_simulate_chunk, jobs)
+        chunks = zip(starts, results)
+        if sink is not None:
+            for s, (term, st, _, _) in chunks:
+                _write_rows(sink, s, term, st)
+            return None
+        terminal = np.empty(n_paths)
+        stop_time = np.empty(n_paths)
+        free = np.empty(n_paths) if free_gain else None
+        stats = TrajectoryStats() if trajectory else None
+        for s, (term, st, fr, part) in chunks:
             terminal[s : s + len(term)] = term
             stop_time[s : s + len(st)] = st
             if free_gain:
                 free[s : s + len(fr)] = fr
             if trajectory:
                 stats = stats.merge(part)
-            if sink is not None:
-                _write_rows(sink, s, term, st)
     return BatchResult(terminal_gain=terminal, stop_time=stop_time, free_gain=free, trajectory=stats)
 
 

@@ -4,12 +4,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from stopgain import cli, simulate, verify
 from stopgain.cdf import CdfQuery, ShorthandContext, cdf_with_stop
-from stopgain.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
+from stopgain.cli import EXIT_GATE, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from stopgain.errors import DomainError
 from stopgain.model import MarketParams, TradeSpec
 from stopgain.simulate import PathGrid, run_batch
@@ -252,6 +255,21 @@ class TestSimulate:
         assert bridged.read_bytes() == plain.read_bytes()
         assert len(bridged.read_text().splitlines()) == 4
 
+    def test_closed_pipe_exits_quietly(self):
+        # `stopgain simulate ... | head -n 2`: the reader leaves after two
+        # lines, and the run stops as SIGPIPE would stop it, saying nothing
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["simulate", "--sstar", "0.5", "--paths", "200000", "--steps", "4", "--seed", "7"]
+        proc = subprocess.Popen([sys.executable, "-m", "stopgain", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_PIPE == 141
+        assert err == b""
+        assert lines == [b"path_index,t_star,terminal_g\n", b"0,1,-0.5\n"]
+
 
 # SHA-256 of seeded `simulate` CSVs as the per-row formatter wrote them.  20000
 # paths of 16 steps make two chunks of the default budget, so the two-worker
@@ -283,12 +301,21 @@ class TestSimulateBytes:
             assert all(line.split(b",")[1] == b"" for line in data.splitlines()[1:])
 
     def test_run_batch_sink_across_chunks(self):
-        sink = io.StringIO()
         m = MarketParams(mu=0.5, sigma=1.0, s0=1.0)
         tr = TradeSpec(u0=1.0, k=2.0, v0=0.5, s_star=0.5)
-        batch = run_batch(m, tr, PathGrid(1.0, 64), 3000, 11, memory_budget_mb=1, sink=sink)
-        assert batch.terminal_gain.size == 3000
-        assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == PINNED_SINK_SHA256
+        args = (m, tr, PathGrid(1.0, 64), 3000, 11)
+        batch = run_batch(*args)
+        # 9 chunks; two workers hold at most four of them submitted and not yet written
+        for n_workers in (1, 2):
+            sink = io.StringIO()
+            assert run_batch(*args, memory_budget_mb=1, sink=sink, n_workers=n_workers) is None
+            assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == PINNED_SINK_SHA256
+            rows = [line.split(",") for line in sink.getvalue().splitlines()]
+            assert [int(r[0]) for r in rows] == list(range(3000))
+            assert [float(r[1] or "nan") for r in rows] == pytest.approx(
+                batch.stop_time.tolist(), rel=0, abs=0, nan_ok=True
+            )
+            assert [float(r[2]) for r in rows] == batch.terminal_gain.tolist()
 
 
 class TestConfigFile:
@@ -627,9 +654,9 @@ def simulated(monkeypatch):
         counts["run_batch"] += 1
         return real_run_batch(*args, **kwargs)
 
-    def chunk_paths(m, tr, grid, master_seed, first_path, n_paths, bridge):
+    def chunk_paths(m, tr, grid, streams, n_paths):
         counts["paths"] += n_paths
-        return real_chunk_paths(m, tr, grid, master_seed, first_path, n_paths, bridge)
+        return real_chunk_paths(m, tr, grid, streams, n_paths)
 
     monkeypatch.setattr(cli, "run_batch", run_batch)
     monkeypatch.setattr(verify, "run_batch", run_batch)

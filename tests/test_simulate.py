@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,11 +19,13 @@ from stopgain.simulate import (
     _CSV_BLOCK_ROWS,
     PathGrid,
     TrajectoryStats,
-    _block_uniforms,
     _chunk_paths,
+    _draw_uniforms,
     _first_touch,
     _normals_from_uniforms,
+    _stream,
     _stream_keys,
+    _streams,
     _write_rows,
     path_trajectory,
     run_batch,
@@ -62,7 +65,12 @@ class TestPathGrid:
 
 def _uniforms(master_seed, path_index, n_steps, stream=0):
     """One path's uniforms from the price (0) or bridge (1) stream."""
-    return _block_uniforms(_stream_keys(master_seed)[stream], path_index, 1, n_steps)[0]
+    return _draw_uniforms(_stream(_stream_keys(master_seed)[stream], path_index, n_steps), 1, n_steps)[0]
+
+
+def _fresh_paths(m, tr, grid, master_seed, first_path, n_paths, bridge):
+    """:func:`_chunk_paths` of paths [first_path, first_path + n_paths), from streams set up at first_path."""
+    return _chunk_paths(m, tr, grid, _streams(tr, grid, master_seed, first_path, bridge), n_paths)
 
 
 def _prices_reference(m, grid, master_seed, path_index):
@@ -98,8 +106,19 @@ class TestSeedSpec:
         assert not np.array_equal(u, _uniforms(987, 6, 32))
         assert not np.array_equal(u, _uniforms(988, 5, 32))
         # a block of paths is the rows of the paths drawn one at a time
-        block = _block_uniforms(_stream_keys(987)[0], 3, 4, 32)
+        block = _draw_uniforms(_stream(_stream_keys(987)[0], 3, 32), 4, 32)
         assert np.array_equal(block[2], u)
+
+    @pytest.mark.parametrize("n_steps", [7, 32])
+    def test_successive_draws_continue_the_stream(self, n_steps):
+        # a chunk draws its row blocks one after another from one stream, and
+        # each block starts where a fresh stream at its first path would
+        key = _stream_keys(987)[1]
+        stream = _stream(key, 3, n_steps)
+        first, second = _draw_uniforms(stream, 2, n_steps), _draw_uniforms(stream, 3, n_steps)
+        assert np.array_equal(second[0], _uniforms(987, 5, n_steps, stream=1))
+        whole = _draw_uniforms(_stream(key, 3, n_steps), 5, n_steps)
+        assert np.array_equal(np.vstack([first, second]), whole)
 
     def test_prefix_stability_of_first_path(self):
         # path 0 owns counters from zero for any step count, so its draws nest;
@@ -129,7 +148,7 @@ class TestSamplePath:
         # including a step count that is not a multiple of four
         for n_steps in (7, 64):
             grid = PathGrid(1.0, n_steps)
-            log_rel, _ = _chunk_paths(DEMO, FREE1, grid, 2024, 0, 20, False)
+            log_rel, _ = _fresh_paths(DEMO, FREE1, grid, 2024, 0, 20, False)
             for i in (0, 3, 17):
                 solo = _prices_reference(DEMO, grid, 2024, i)
                 assert np.array_equal(solo[1:], DEMO.s0 * np.exp(log_rel[i]))
@@ -184,15 +203,15 @@ class TestDetectStop:
         assert _touch([0.9, 1.1], [0.0, 0.0]) == 1
         # simulated: toggling the bridge keeps the prices and never delays a stop
         grid = PathGrid(1.0, 32)
-        plain_rel, plain = _chunk_paths(DEMO, TRADE1, grid, 31337, 0, 40, False)
-        bridged_rel, bridged = _chunk_paths(DEMO, TRADE1, grid, 31337, 0, 40, True)
+        plain_rel, plain = _fresh_paths(DEMO, TRADE1, grid, 31337, 0, 40, False)
+        bridged_rel, bridged = _fresh_paths(DEMO, TRADE1, grid, 31337, 0, 40, True)
         assert np.array_equal(bridged_rel, plain_rel)
         assert (bridged <= plain).all()
 
     def test_bridge_hit_lands_on_right_endpoint(self):
         grid = PathGrid(1.0, 32)
-        log_rel, plain = _chunk_paths(DEMO, TRADE1, grid, 2718, 0, 200, False)
-        _, bridged = _chunk_paths(DEMO, TRADE1, grid, 2718, 0, 200, True)
+        log_rel, plain = _fresh_paths(DEMO, TRADE1, grid, 2718, 0, 200, False)
+        _, bridged = _fresh_paths(DEMO, TRADE1, grid, 2718, 0, 200, True)
         batch = run_batch(DEMO, TRADE1, grid, 200, 2718)
         hits = 0
         for i in range(200):
@@ -233,8 +252,8 @@ def _first_touch_reference(log_rel, log_bar, sigma, dt, uniforms):
 def _kernel_inputs(n_steps, n_paths, seed=4711):
     """Log prices, bridge draws and dt of a demo chunk, barrier 0.5."""
     grid = PathGrid(1.0, n_steps)
-    log_rel, _ = _chunk_paths(DEMO, TRADE1, grid, seed, 0, n_paths, False)
-    return log_rel, _block_uniforms(_stream_keys(seed)[1], 0, n_paths, n_steps), grid.dt
+    log_rel, _ = _fresh_paths(DEMO, TRADE1, grid, seed, 0, n_paths, False)
+    return log_rel, _draw_uniforms(_stream(_stream_keys(seed)[1], 0, n_steps), n_paths, n_steps), grid.dt
 
 
 class TestFirstTouchKernel:
@@ -270,7 +289,7 @@ class TestFirstTouchKernel:
         assert np.array_equal(batch.terminal_gain, ref.terminal_gain)
         assert batch.trajectory == ref.trajectory
         # and the row blocks give the stops of one chunk-wide draw and search
-        _, stop_idx = _chunk_paths(DEMO, trade, grid, 808, 0, n_paths, True)
+        _, stop_idx = _fresh_paths(DEMO, trade, grid, 808, 0, n_paths, True)
         wide = np.where(stop_idx <= n_steps, grid.times[np.minimum(stop_idx, n_steps)], np.nan)
         assert np.array_equal(batch.stop_time, wide, equal_nan=True)
 
@@ -487,7 +506,8 @@ class TestRunBatch:
 
     def test_sink_rows(self):
         sink = io.StringIO()
-        batch = run_batch(DEMO, TRADE1, PathGrid(1.0, 64), 50, 8, sink=sink)
+        assert run_batch(DEMO, TRADE1, PathGrid(1.0, 64), 50, 8, sink=sink) is None
+        batch = run_batch(DEMO, TRADE1, PathGrid(1.0, 64), 50, 8)
         lines = sink.getvalue().splitlines()
         assert len(lines) == 50
         for i, line in enumerate(lines):
@@ -499,11 +519,16 @@ class TestRunBatch:
             else:
                 assert float(t_field) == batch.stop_time[i]
 
+    @pytest.mark.parametrize("extra", [{"free_gain": True}, {"trajectory": True}])
+    def test_sink_keeps_no_extras(self, extra):
+        with pytest.raises(ParameterError):
+            run_batch(DEMO, TRADE1, PathGrid(1.0, 4), 10, 8, sink=io.StringIO(), **extra)
+
     @staticmethod
-    def _traced_peak(n_paths, **kwargs):
+    def _traced_peak(n_paths, n_steps=1024, **kwargs):
         tracemalloc.start()
         try:
-            run_batch(DEMO, TRADE2, PathGrid(1.0, 1024), n_paths, 3, **kwargs)
+            run_batch(DEMO, TRADE2, PathGrid(1.0, n_steps), n_paths, 3, **kwargs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -519,6 +544,35 @@ class TestRunBatch:
         # one chunk of 6000 paths peaks near 1 MiB: its outcomes and one row
         # block's temporaries; chunk-wide matrices took 141 MiB
         assert self._traced_peak(6000, trajectory=True) < 16 * 2**20
+
+    def test_peak_memory_of_a_sink_is_per_chunk(self):
+        # 200000 paths streamed in 16384-path chunks peak near 1.5 MiB; a
+        # terminal gain and stop time kept for every path would be 3.2 MB alone
+        sink = _CountingSink()
+        assert self._traced_peak(200_000, n_steps=4, sink=sink) < 2 * 2**20
+        assert sink.rows == 200_000
+
+    def test_peak_memory_of_a_slow_sink_holds_with_workers(self):
+        # two workers draw 5461-path chunks far faster than this sink takes
+        # them, yet at most four chunks wait, so doubling the paths leaves the
+        # peak where it was; results queued for the sink grew it by 2 MiB
+        peaks = [
+            self._traced_peak(n, n_steps=4, sink=_CountingSink(delay=0.01), n_workers=2, memory_budget_mb=1)
+            for n in (60_000, 120_000)
+        ]
+        assert peaks[1] - peaks[0] < 2**19
+
+
+class _CountingSink:
+    """A text sink that counts the rows written to it and keeps none; each write can be slow."""
+
+    def __init__(self, delay=0.0):
+        self.rows = 0
+        self.delay = delay
+
+    def write(self, text):
+        self.rows += text.count("\n")
+        time.sleep(self.delay)
 
 
 def _reference_trajectory(m, tr, grid, n_paths, master_seed):
@@ -538,7 +592,7 @@ def _reference_trajectory(m, tr, grid, n_paths, master_seed):
     terminal = np.empty(n_paths)
     for first in range(0, n_paths, 2048):
         count = min(2048, n_paths - first)
-        log_rel, stop_idx = _chunk_paths(m, tr, grid, master_seed, first, count, True)
+        log_rel, stop_idx = _fresh_paths(m, tr, grid, master_seed, first, count, True)
         g = (tr.u0 / tr.k) * np.expm1(tr.k * log_rel + half * grid.times[1:])
         stopped_mask = np.arange(1, n + 1) >= stop_idx[:, None]
         if tr.s_star is not None:
