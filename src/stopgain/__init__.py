@@ -16,8 +16,6 @@ from .cdf import (
     CdfValue,
     ShorthandContext,
     a_of_x,
-    b_of_x_t,
-    big_x,
     cdf_no_stop,
     cdf_with_stop,
     joint_cdf_stopped,
@@ -41,13 +39,11 @@ from .model import (
     Regime,
     TradeSpec,
     check_survivability,
-    control_value,
     expected_gain_lower_bound,
     g_star,
     g_star_t,
     gain,
     gain_no_stop,
-    gain_stopped,
     timid_floor,
     z_star,
 )
@@ -96,8 +92,6 @@ __all__ = [
     "timid_floor",
     "gain",
     "gain_no_stop",
-    "gain_stopped",
-    "control_value",
     "check_survivability",
     "expected_gain_lower_bound",
     # cdf
@@ -109,9 +103,7 @@ __all__ = [
     "BRANCH_MIDDLE",
     "BRANCH_UPPER",
     "BRANCH_NO_STOP",
-    "big_x",
     "a_of_x",
-    "b_of_x_t",
     "cdf_no_stop",
     "omega",
     "stopping_time_cdf",

@@ -7,8 +7,12 @@ so tests and reports can assert not just the number but the route.  The laws
 are vectorized over the level: an array query gets arrays of values and tags.
 
 Internals evaluate the normal-CDF arguments from logarithms directly, which
-keeps every expression finite for feedback gains far above one (stress-tested
-up to k = 50) where the intermediate growth factors would overflow.
+keeps every expression finite for feedback gains far above one, where the
+intermediate growth factors would overflow.  The tests check the law against
+50-digit references up to k = 53 on the demo market (s*/s0 = 1/2).  From
+k = 54 on there the floor ``g_star_t(0)`` rounds onto ``-u0/k``, where
+``a_of_x`` and ``theta`` are undefined, so every level raises
+:class:`DomainError`.
 """
 
 import math
@@ -25,9 +29,7 @@ __all__ = [
     "CdfQuery",
     "CdfValue",
     "std_normal_cdf",
-    "big_x",
     "a_of_x",
-    "b_of_x_t",
     "cdf_no_stop",
     "stopping_time_cdf",
     "joint_survival",
@@ -66,8 +68,7 @@ def std_normal_cdf(x):
 class ShorthandContext:
     """Validated (market, trade) pair with the derived quantities cached.
 
-    ``z_star`` is the reflection weight and ``drift_rate`` the log-price
-    drift ``mu - sigma**2/2``; both are recomputable bit-for-bit from the
+    ``z_star`` is the reflection weight, recomputable bit-for-bit from the
     source parameters.  A context without a stop order (``s_star is None``)
     supports only the no-stop operations.
     """
@@ -75,7 +76,6 @@ class ShorthandContext:
     market: MarketParams
     trade: TradeSpec
     z_star: float = field(init=False)
-    drift_rate: float = field(init=False)
 
     def __post_init__(self):
         if self.trade.s_star is not None:
@@ -83,7 +83,6 @@ class ShorthandContext:
             object.__setattr__(self, "z_star", z_star(self.market, self.trade))
         else:
             object.__setattr__(self, "z_star", math.nan)
-        object.__setattr__(self, "drift_rate", self.market.drift_rate)
 
     @property
     def has_stop(self) -> bool:
@@ -121,17 +120,8 @@ class CdfValue:
 
 
 def _phi_at_log(ctx: ShorthandContext, log_z, t):
-    """Normal CDF of ``(log_z + drift_rate * t) / (sigma * sqrt(t))``."""
-    return ndtr((log_z + ctx.drift_rate * t) / (ctx.market.sigma * np.sqrt(t)))
-
-
-def big_x(z: float, t: float, ctx: ShorthandContext) -> float:
-    """Standardized log-price coordinate ``(ln z + (mu - sigma^2/2) t) / (sigma sqrt(t))``."""
-    if not z > 0:
-        raise DomainError(f"z must be > 0 (got {z})")
-    if not t > 0:
-        raise DomainError(f"t must be > 0 (got {t})")
-    return (math.log(z) + ctx.drift_rate * t) / (ctx.market.sigma * math.sqrt(t))
+    """Normal CDF of the standardized log price ``(log_z + (mu - sigma**2/2) t) / (sigma sqrt(t))``."""
+    return ndtr((log_z + ctx.market.drift_rate * t) / (ctx.market.sigma * np.sqrt(t)))
 
 
 def a_of_x(x, ctx: ShorthandContext):
@@ -152,23 +142,12 @@ def a_of_x(x, ctx: ShorthandContext):
 
 
 def _log_b(x, t, ctx: ShorthandContext):
-    """log of the price level whose no-stop gain at time t equals x."""
+    """log of the price ratio ``S(t)/s0`` whose no-stop gain at time t equals x.
+
+    The log of ``((k x / u0 + 1) * exp(-sigma^2 (k - k^2) t / 2)) ** (1/k)``.
+    """
     tr, m = ctx.trade, ctx.market
     return (np.log1p(tr.k * x / tr.u0) - 0.5 * m.sigma**2 * (tr.k - tr.k**2) * t) / tr.k
-
-
-def b_of_x_t(x: float, t: float, ctx: ShorthandContext) -> float:
-    """Price ratio ``S(t)/s0`` at which the no-stop gain equals ``x``.
-
-    ``((k x / u0 + 1) * exp(-sigma^2 (k - k^2) t / 2)) ** (1/k)``, evaluated
-    through logarithms.
-    """
-    tr = ctx.trade
-    if not x > -tr.u0 / tr.k:
-        raise DomainError(f"x must exceed -u0/k = {-tr.u0 / tr.k} (got {x})")
-    if not t > 0:
-        raise DomainError(f"t must be > 0 (got {t})")
-    return math.exp(_log_b(x, t, ctx))
 
 
 def cdf_no_stop(q: CdfQuery, ctx: ShorthandContext) -> CdfValue:

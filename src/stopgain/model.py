@@ -24,8 +24,6 @@ __all__ = [
     "timid_floor",
     "gain",
     "gain_no_stop",
-    "gain_stopped",
-    "control_value",
     "check_survivability",
     "expected_gain_lower_bound",
 ]
@@ -218,30 +216,6 @@ def gain_no_stop(tr: TradeSpec, m: MarketParams, s_t, t):
     if np.any(t < 0):
         raise DomainError("t must be >= 0")
     out = gain(tr, m, np.log(s_t / m.s0), t)
-    return float(out) if out.ndim == 0 else out
-
-
-def gain_stopped(tr: TradeSpec, m: MarketParams, s_tilde, t):
-    """Gain expression on the price frozen at the stop level.
-
-    Identical to :func:`gain_no_stop` with the stopped price substituted;
-    ``s_tilde`` below the stop level is rejected because the frozen price can
-    never sit under the barrier.
-    """
-    s_star = require_stop(tr, m)
-    s_tilde = np.asarray(s_tilde, dtype=float)
-    if np.any(s_tilde < s_star):
-        raise DomainError(f"s_tilde must be >= s_star={s_star}")
-    return gain_no_stop(tr, m, s_tilde, t)
-
-
-def control_value(tr: TradeSpec, g, stopped):
-    """Investment level: ``u0 + k * g`` while active, ``0`` once stopped.
-
-    Vectorized over ``g`` and ``stopped``.
-    """
-    g = np.asarray(g, dtype=float)
-    out = np.where(stopped, 0.0, tr.u0 + tr.k * g)
     return float(out) if out.ndim == 0 else out
 
 

@@ -16,7 +16,7 @@ separately keyed stream, so toggling it never perturbs the price paths.
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -278,7 +278,6 @@ def _rule_steps(tr, m, log_rel, col, stop_idx, frozen, times):
     stopped = col >= stop_idx[:, None]
     g = gain(tr, m, log_rel, times)
     np.copyto(g, frozen[:, None], where=stopped)
-    # model.control_value's np.where gives the same u but ran the trajectory pass ~15% slower
     u = tr.u0 + tr.k * g
     u[stopped] = 0.0
     return g, u, stopped
@@ -405,6 +404,26 @@ def _in_order(pool, jobs, window):
         yield pending.popleft().result()
 
 
+@contextmanager
+def _pool(n_workers, n_chunks):
+    """A pool of ``n_workers`` processes for the chunks, or None when this process runs them.
+
+    It is left once every submitted chunk is done.  When the caller raised
+    (a failing sink, a reader that closed the pipe), the chunks no worker has
+    taken yet are cancelled first; those already handed to a worker still run.
+    """
+    if n_workers == 1 or n_chunks == 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=n_workers)
+    try:
+        yield pool
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
+
+
 def _check_batch_args(m, tr, grid, n_paths, master_seed, n_workers, memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB):
     """Reject a bad :func:`run_batch` request before any output is opened; return its chunk size."""
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
@@ -479,8 +498,7 @@ def run_batch(
         (m, tr, grid, int(master_seed), s, min(chunk, n_paths - s), bridge, trajectory)
         for s in starts
     )
-    pool = ProcessPoolExecutor(max_workers=int(n_workers)) if n_workers > 1 and len(starts) > 1 else None
-    with pool or nullcontext():
+    with _pool(int(n_workers), len(starts)) as pool:
         results = _in_order(pool, jobs, 2 * int(n_workers)) if pool else starmap(_simulate_chunk, jobs)
         chunks = zip(starts, results)
         if sink is not None:

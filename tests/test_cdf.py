@@ -19,9 +19,9 @@ from stopgain.cdf import (
     CdfQuery,
     CdfValue,
     ShorthandContext,
+    _log_b,
+    _phi_at_log,
     a_of_x,
-    b_of_x_t,
-    big_x,
     cdf_no_stop,
     cdf_with_stop,
     joint_cdf_stopped,
@@ -34,7 +34,7 @@ from stopgain.cdf import (
     theta,
 )
 from stopgain.errors import DomainError, ParameterError, RegimeError
-from stopgain.model import MarketParams, TradeSpec, g_star, g_star_t, timid_floor
+from stopgain.model import MarketParams, TradeSpec, g_star, g_star_t, gain, timid_floor
 from stopgain.verify import comparison_grid
 
 DEMO = MarketParams(mu=0.5, sigma=1.0, s0=1.0)
@@ -82,7 +82,6 @@ class TestStdNormalCdf:
 class TestContextAndQuery:
     def test_cached_derived_values(self):
         assert CTX1.z_star == 1.0  # 2*mu/sigma^2 - 1 = 0
-        assert CTX1.drift_rate == 0.0
         assert CTX1.log_s0_over_star == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_no_stop_context(self):
@@ -111,18 +110,13 @@ class TestContextAndQuery:
 
 class TestShorthandOperations:
     def test_big_x(self):
+        # Phi of the standardized log price X(z, t) = (ln z + nu t) / (sigma sqrt(t));
         # drift-free demo market: X(z, 1) = ln z
-        assert big_x(2.0, 1.0, CTX1) == pytest.approx(math.log(2.0), rel=1e-15)
-        assert big_x(1.0, 4.0, CTX1) == 0.0
+        assert _phi_at_log(CTX1, math.log(2.0), 1.0) == pytest.approx(std_normal_cdf(math.log(2.0)), rel=1e-15)
+        assert _phi_at_log(CTX1, 0.0, 4.0) == 0.5
         m = MarketParams(mu=1.0, sigma=2.0, s0=1.0)
         ctx = ctx_for(1.0, market=m)  # nu = -1
-        assert big_x(1.0, 1.0, ctx) == pytest.approx(-0.5, rel=1e-15)
-
-    def test_big_x_domain(self):
-        with pytest.raises(DomainError):
-            big_x(0.0, 1.0, CTX1)
-        with pytest.raises(DomainError):
-            big_x(1.0, 0.0, CTX1)
+        assert _phi_at_log(ctx, 0.0, 1.0) == pytest.approx(std_normal_cdf(-0.5), rel=1e-15)
 
     def test_a_of_x_golden(self):
         assert a_of_x(0.0, CTX2) == pytest.approx(CLOSED_FORM["k2_a_x0"], rel=1e-14)
@@ -148,18 +142,14 @@ class TestShorthandOperations:
             a_of_x(-0.5, CTX2)  # at -u0/k
 
     def test_b_of_x_t_golden(self):
-        assert b_of_x_t(0.0, 1.0, CTX2) == pytest.approx(CLOSED_FORM["k2_b_x0_t1"], rel=1e-14)
+        # b(x, t) = S(t)/s0 where the no-stop gain is x
+        assert math.exp(_log_b(0.0, 1.0, CTX2)) == pytest.approx(CLOSED_FORM["k2_b_x0_t1"], rel=1e-14)
 
     def test_b_inverts_gain(self):
-        from stopgain.model import gain_no_stop
-
         for ctx in (CTX1, CTX2, CTX05):
             for x in (-0.2, 0.0, 1.5):
                 for t in (0.25, 1.0):
-                    s = b_of_x_t(x, t, ctx) * DEMO.s0
-                    assert gain_no_stop(ctx.trade, DEMO, s, t) == pytest.approx(
-                        x, abs=1e-12
-                    )
+                    assert gain(ctx.trade, DEMO, _log_b(x, t, ctx), t) == pytest.approx(x, abs=1e-12)
 
     def test_theta_golden(self):
         assert theta(0.0, 1.0, CTX2) == pytest.approx(CLOSED_FORM["k2_theta_x0_t1"], rel=1e-13)
@@ -500,6 +490,27 @@ class TestArrayEvaluation:
 
 
 class TestMpmathOracle:
+    @pytest.mark.parametrize("k", ["20", "50", "53"])
+    def test_large_k_matches_50_digit_law(self, k):
+        # the stopped band ends 2**-k u0/k above -u0/k, and near its floor one
+        # ulp of x moves F by more than 1e-12 at k = 20; so the comparison
+        # starts 2**-26 u0/k above the floor, while range and order are
+        # checked from the first floats above it
+        mp = pytest.importorskip("mpmath")
+        import make_reference_values as ref
+
+        law = ref.Closed(ref.MU, ref.SIGMA, ref.S0, ref.SSTAR, ref.U0, k)
+        ctx = ctx_for(float(k))
+        for t in (0.25, 1.0, 4.0):
+            floor = g_star_t(ctx.trade, DEMO, t)
+            near = floor + abs(np.spacing(floor)) * np.arange(1, 9)
+            far = floor + 2.0 ** np.arange(-26, 5) / float(k)
+            p = cdf_with_stop(CdfQuery(np.concatenate([near, far]), t), ctx).p
+            assert ((p >= 0.0) & (p <= 1.0)).all()
+            assert (np.diff(p) >= 0.0).all()
+            expected = [float(law.cdf(mp.mpf(x), mp.mpf(t))) for x in far]
+            assert np.abs(p[len(near) :] - expected).max() <= 1e-12
+
     @pytest.mark.parametrize("k", ["1", "2", "0.5"])
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
     def test_array_call_matches_50_digit_law(self, k, t):

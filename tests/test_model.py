@@ -12,13 +12,11 @@ from stopgain.model import (
     Regime,
     TradeSpec,
     check_survivability,
-    control_value,
     expected_gain_lower_bound,
     g_star,
     g_star_t,
     gain,
     gain_no_stop,
-    gain_stopped,
     require_stop,
     timid_floor,
     z_star,
@@ -167,7 +165,6 @@ class TestGainMapAccuracy:
         assert np.array_equal(g_star_t(tr, DEMO, ts), gain(tr, DEMO, log_bar, ts))
         s = np.array([0.3, 0.5, 1.0, 2.5])
         assert np.array_equal(gain_no_stop(tr, DEMO, s, 1.0), gain(tr, DEMO, np.log(s), 1.0))
-        assert np.array_equal(gain_stopped(tr, DEMO, s[1:], 1.0), gain(tr, DEMO, np.log(s[1:]), 1.0))
 
 
 class TestGainExpressions:
@@ -199,28 +196,12 @@ class TestGainExpressions:
             gain_no_stop(trade(1.0), DEMO, 1.0, -1.0)
 
     def test_stopped_matches_level_curve_at_barrier(self):
+        # the gain of a price frozen at the stop level is the level curve
         for k in (0.5, 1.0, 2.0):
             for t in (0.25, 1.0):
-                assert gain_stopped(trade(k), DEMO, 0.5, t) == pytest.approx(
+                assert gain(trade(k), DEMO, math.log(0.5), t) == pytest.approx(
                     g_star_t(trade(k), DEMO, t), rel=1e-14
                 )
-
-    def test_stopped_rejects_price_below_barrier(self):
-        with pytest.raises(DomainError):
-            gain_stopped(trade(1.0), DEMO, 0.4, 1.0)
-
-
-class TestControlValue:
-    def test_active_and_stopped(self):
-        tr = trade(2.0)
-        assert control_value(tr, 0.25, False) == 1.5
-        assert control_value(tr, 0.25, True) == 0.0
-
-    def test_vectorized_mask(self):
-        tr = trade(1.0)
-        g = np.array([0.0, -0.5, 1.0])
-        stopped = np.array([False, True, False])
-        assert np.array_equal(control_value(tr, g, stopped), [1.0, 0.0, 2.0])
 
 
 class TestAccountChecks:

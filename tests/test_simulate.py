@@ -8,7 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import kernel_reference as reference
 from stopgain import simulate
 from stopgain.cdf import ShorthandContext, stopping_time_cdf
 from stopgain.errors import ParameterError, ResourceError
@@ -17,15 +20,13 @@ from stopgain.simulate import (
     _BLOCK_CELLS,
     _BRIDGE_CUT,
     _CSV_BLOCK_ROWS,
+    DEFAULT_MEMORY_BUDGET_MB,
     PathGrid,
     TrajectoryStats,
-    _chunk_paths,
     _draw_uniforms,
     _first_touch,
-    _normals_from_uniforms,
     _stream,
     _stream_keys,
-    _streams,
     _write_rows,
     path_trajectory,
     run_batch,
@@ -68,21 +69,74 @@ def _uniforms(master_seed, path_index, n_steps, stream=0):
     return _draw_uniforms(_stream(_stream_keys(master_seed)[stream], path_index, n_steps), 1, n_steps)[0]
 
 
-def _fresh_paths(m, tr, grid, master_seed, first_path, n_paths, bridge):
-    """:func:`_chunk_paths` of paths [first_path, first_path + n_paths), from streams set up at first_path."""
-    return _chunk_paths(m, tr, grid, _streams(tr, grid, master_seed, first_path, bridge), n_paths)
+def _bits(x):
+    """Bytes of float data, every NaN alike: NaN equals NaN and -0.0 differs from 0.0; None stays None."""
+    if isinstance(x, TrajectoryStats):
+        x = dataclasses.astuple(x)
+    return None if x is None else np.where(np.isnan(x), np.nan, np.asarray(x, dtype=float)).tobytes()
 
 
-def _prices_reference(m, grid, master_seed, path_index):
-    """One path's prices, generated per path the way the removed one-path sampler did.
+def _check(m, tr, grid, n_paths, seed, bridge=True, sink=False, probes=(0,), want=None, **opts):
+    """Assert that run_batch (given ``opts``) and path_trajectory give the reference ``want`` bit for bit.
 
-    The path's own row of uniforms, then ``concatenate`` + ``cumsum`` +
-    ``exp`` over the log increments; the reference for :func:`_chunk_paths`.
+    With a ``sink`` its rows are compared, else the terminal gains, stop
+    times, free gains and statistics (None unless asked for), and each path
+    of ``probes`` from time 0 on.  Returns the batch (None with a sink) and ``want``.
     """
-    z = _normals_from_uniforms(_uniforms(master_seed, path_index, grid.n_steps))
-    increments = m.drift_rate * grid.dt + m.sigma * math.sqrt(grid.dt) * z
-    log_rel = np.concatenate([[0.0], np.cumsum(increments)])
-    return m.s0 * np.exp(log_rel)
+    want = want or reference.batch(m, tr, grid, n_paths, seed, bridge)
+    got = None
+    if sink:
+        out = io.StringIO()
+        assert run_batch(m, tr, grid, n_paths, seed, bridge, sink=out, **opts) is None
+        assert out.getvalue().splitlines(keepends=True) == want.rows
+    else:
+        got = run_batch(m, tr, grid, n_paths, seed, bridge, **opts)
+        for name in ("terminal_gain", "stop_time", "free_gain", "trajectory"):
+            asked = name in ("terminal_gain", "stop_time") or opts.get(name)
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name) if asked else None), name
+    for i in probes:
+        p, stop = path_trajectory(m, tr, grid, seed, i, bridge), int(want.stop[i])
+        # from time 0 on, where the price is s0, the gain 0 and the investment u0
+        assert _bits(p.times) == _bits(grid.times)
+        assert _bits(p.prices) == _bits(m.s0 * np.exp(np.append(0.0, want.log_rel[i])))
+        assert _bits(p.g) == _bits(np.append(0.0, want.g[i]))
+        assert _bits(p.v) == _bits(tr.v0 + np.append(0.0, want.g[i]))
+        assert _bits(p.u) == _bits(np.append(tr.u0, want.u[i]))
+        assert p.stop_index == (stop if stop <= grid.n_steps else None)
+    return got, want
+
+
+# the second market has a nonzero log drift and s0 != 1
+MARKETS = [DEMO, MarketParams(mu=0.1, sigma=0.6, s0=2.0)]
+
+
+@st.composite
+def _cases(draw):
+    m = draw(st.sampled_from(MARKETS))
+    k = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(math.log(0.1), math.log(20.0)).map(math.exp))
+    tr = TradeSpec(u0=1.0, k=k, v0=draw(st.sampled_from([0.25, 1.0, 4.0])) / k,
+                   s_star=draw(st.none() | st.floats(0.05, 0.95).map(lambda f: f * m.s0)))
+    n_steps = draw(st.integers(1, 70) | st.sampled_from([256, 1024]))
+    grid = PathGrid(draw(st.sampled_from([0.25, 1.0, 3.0])), n_steps)
+    n_paths, sink = draw(st.integers(1, 300)), draw(st.booleans())
+    # a 1 MiB budget makes chunks of 21 paths at 1024 steps and 85 at 256,
+    # each of two row blocks, the second a partial one
+    return dict(
+        m=m, tr=tr, grid=grid, n_paths=n_paths, seed=draw(st.integers(0, 2**64 - 1)),
+        bridge=draw(st.booleans()), sink=sink,
+        free_gain=not sink and draw(st.booleans()), trajectory=not sink and draw(st.booleans()),
+        memory_budget_mb=draw(st.sampled_from([1, DEFAULT_MEMORY_BUDGET_MB])),
+        probes=(draw(st.integers(0, n_paths - 1)),),
+    )
+
+
+@given(_cases())
+@example(dict(m=DEMO, tr=TRADE2, grid=PathGrid(1.0, 256), n_paths=300, seed=99, free_gain=True,
+              trajectory=True, memory_budget_mb=1, n_workers=2, probes=(299,)))
+@example(dict(m=MARKETS[1], tr=TradeSpec(u0=1.0, k=0.5, v0=2.0, s_star=1.5), grid=PathGrid(1.0, 1024),
+              n_paths=50, seed=7, sink=True, memory_budget_mb=1, n_workers=2))
+def test_run_batch_equals_reference(case):
+    _check(**case)
 
 
 class TestSeedSpec:
@@ -134,25 +188,11 @@ class TestSamplePath:
         assert np.array_equal(a.prices, b.prices)
         assert np.array_equal(a.g, b.g)
 
-    def test_starts_at_s0(self):
-        grid = PathGrid(1.0, 16)
-        p = path_trajectory(DEMO, FREE1, grid, 1, 0)
-        assert p.prices[0] == 1.0
-        assert len(p.prices) == 17
-        assert np.array_equal(p.times, grid.times)
-        assert (p.prices > 0).all()
-        assert (p.g[0], p.u[0], p.v[0]) == (0.0, FREE1.u0, FREE1.v0)
-
     def test_matches_chunk_rows_bitwise(self):
         # the batched kernel reproduces per-path generation exactly,
         # including a step count that is not a multiple of four
         for n_steps in (7, 64):
-            grid = PathGrid(1.0, n_steps)
-            log_rel, _ = _fresh_paths(DEMO, FREE1, grid, 2024, 0, 20, False)
-            for i in (0, 3, 17):
-                solo = _prices_reference(DEMO, grid, 2024, i)
-                assert np.array_equal(solo[1:], DEMO.s0 * np.exp(log_rel[i]))
-                assert np.array_equal(path_trajectory(DEMO, FREE1, grid, 2024, i).prices, solo)
+            _check(DEMO, FREE1, PathGrid(1.0, n_steps), 20, 2024, bridge=False, probes=(0, 3, 17))
 
     def test_terminal_moments(self):
         # lognormal mean e^(mu t) and log-variance sigma^2 t, 3 sigma gates
@@ -201,63 +241,23 @@ class TestDetectStop:
         assert _touch([0.55, 0.6, 0.4], [1.0, 1.0, 1.0]) == 3  # draws of 1 never cross
         assert _touch([0.55, 0.6, 0.4], [1.0, 1.0, 0.0]) == 3  # step 3 is a grid touch
         assert _touch([0.9, 1.1], [0.0, 0.0]) == 1
-        # simulated: toggling the bridge keeps the prices and never delays a stop
-        grid = PathGrid(1.0, 32)
-        plain_rel, plain = _fresh_paths(DEMO, TRADE1, grid, 31337, 0, 40, False)
-        bridged_rel, bridged = _fresh_paths(DEMO, TRADE1, grid, 31337, 0, 40, True)
-        assert np.array_equal(bridged_rel, plain_rel)
-        assert (bridged <= plain).all()
-
-    def test_bridge_hit_lands_on_right_endpoint(self):
-        grid = PathGrid(1.0, 32)
-        log_rel, plain = _fresh_paths(DEMO, TRADE1, grid, 2718, 0, 200, False)
-        _, bridged = _fresh_paths(DEMO, TRADE1, grid, 2718, 0, 200, True)
-        batch = run_batch(DEMO, TRADE1, grid, 200, 2718)
-        hits = 0
-        for i in range(200):
-            if bridged[i] <= 32 and bridged[i] != plain[i]:
-                hits += 1
-                assert batch.stop_time[i] == grid.times[bridged[i]]
-                assert log_rel[i, bridged[i] - 1] > LOG_BAR  # grid never saw the touch
-        assert hits > 0  # the correction must actually fire sometimes
-
-
-def _first_touch_reference(log_rel, log_bar, sigma, dt, uniforms):
-    """The dense first-touch search the row-block kernel replaced.
-
-    Every cell's crossing probability is formed over the whole chunk, with
-    ``exp`` on every cell; the reference for :func:`_first_touch`.
-    """
-    b, n = log_rel.shape
-    below = log_rel <= log_bar
-    hit = below.any(axis=1)
-    first_below = np.where(hit, below.argmax(axis=1) + 1, n + 1)
-    if uniforms is None:
-        return first_below
-    lhs = np.empty_like(log_rel)
-    lhs[:, 0] = -log_bar
-    lhs[:, 1:] = log_rel[:, :-1] - log_bar
-    rhs = log_rel - log_bar
-    with np.errstate(over="ignore"):
-        p_cross = -2.0 * lhs
-        p_cross *= rhs
-        p_cross /= sigma**2 * dt
-        np.exp(p_cross, out=p_cross)
-    bridge_hit = (lhs > 0) & (rhs > 0) & (uniforms < p_cross)
-    any_bridge = bridge_hit.any(axis=1)
-    first_bridge = np.where(any_bridge, bridge_hit.argmax(axis=1) + 1, n + 2)
-    return np.minimum(first_below, first_bridge)
 
 
 def _kernel_inputs(n_steps, n_paths, seed=4711):
-    """Log prices, bridge draws and dt of a demo chunk, barrier 0.5."""
-    grid = PathGrid(1.0, n_steps)
-    log_rel, _ = _fresh_paths(DEMO, TRADE1, grid, seed, 0, n_paths, False)
-    return log_rel, _draw_uniforms(_stream(_stream_keys(seed)[1], 0, n_steps), n_paths, n_steps), grid.dt
+    """Driftless log prices of unit volatility, bridge draws and dt of a random block, barrier 0.5."""
+    rng = np.random.default_rng(seed)
+    dt = 1.0 / n_steps
+    log_rel = np.cumsum(rng.standard_normal((n_paths, n_steps)) * math.sqrt(dt), axis=1)
+    return log_rel, rng.random((n_paths, n_steps)), dt
+
+
+def _dense(log_rel, u, dt, sigma=DEMO.sigma):
+    """The reference's first touch of each row, barrier 0.5: the oracle of the hand-built cases."""
+    return reference.first_touch(log_rel, LOG_BAR, sigma, dt, u)
 
 
 class TestFirstTouchKernel:
-    """The candidate-only bridge search gives the dense search's stops bit for bit."""
+    """The candidate-only bridge search gives the reference's dense search's stops."""
 
     @pytest.mark.parametrize("n_steps", [1, 16, 1024])
     def test_matches_dense_reference(self, n_steps):
@@ -266,51 +266,39 @@ class TestFirstTouchKernel:
         n_paths = 2 * max(1, _BLOCK_CELLS // n_steps) + 3
         log_rel, u, dt = _kernel_inputs(n_steps, n_paths)
         got = _first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, u)
-        want = _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, dt, u)
-        assert np.array_equal(got, want)
-        grid_only = _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, dt, None)
+        assert np.array_equal(got, _dense(log_rel, u, dt))
+        grid_only = _dense(log_rel, None, dt)
         assert (got < grid_only).any()  # the bridge fires
         assert np.array_equal(_first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, None), grid_only)
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
     @pytest.mark.parametrize("n_steps", [1, 16, 1024])
-    def test_batch_matches_dense_reference(self, monkeypatch, k, n_steps):
+    def test_batch_matches_dense_reference(self, k, n_steps):
         # neither path count is a multiple of the kernel's block rows, so the
         # last row block of the chunk is a partial one
-        trade = TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5)
-        grid = PathGrid(1.0, n_steps)
         n_paths = 300 if n_steps == 1024 else 3000
         assert n_paths % max(1, _BLOCK_CELLS // n_steps)
-        batch = run_batch(DEMO, trade, grid, n_paths, 808, trajectory=True)
-        monkeypatch.setattr(simulate, "_first_touch", _first_touch_reference)
-        ref = run_batch(DEMO, trade, grid, n_paths, 808, trajectory=True)
+        trade = TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5)
+        batch, _ = _check(DEMO, trade, PathGrid(1.0, n_steps), n_paths, 808, trajectory=True)
         assert batch.stopped.any()
-        assert np.array_equal(batch.stop_time, ref.stop_time, equal_nan=True)
-        assert np.array_equal(batch.terminal_gain, ref.terminal_gain)
-        assert batch.trajectory == ref.trajectory
-        # and the row blocks give the stops of one chunk-wide draw and search
-        _, stop_idx = _fresh_paths(DEMO, trade, grid, 808, 0, n_paths, True)
-        wide = np.where(stop_idx <= n_steps, grid.times[np.minimum(stop_idx, n_steps)], np.nan)
-        assert np.array_equal(batch.stop_time, wide, equal_nan=True)
 
     def test_one_row(self):
         log_rel, u, dt = _kernel_inputs(1024, 64)
-        batch = _first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, u)
+        want = _dense(log_rel, u, dt)
         for i in range(64):
             row = slice(i, i + 1)
-            assert _first_touch(log_rel[row], LOG_BAR, DEMO.sigma, dt, u[row])[0] == batch[i]
+            assert _first_touch(log_rel[row], LOG_BAR, DEMO.sigma, dt, u[row])[0] == want[i]
 
     def test_zero_draws_are_candidates(self):
         # a draw of exactly 0 crosses wherever exp of the exponent is positive,
         # however far below the cut the exponent lies
         log_rel, u, dt = _kernel_inputs(1024, 150)
-        grid_only = _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, dt, None)
+        grid_only = _dense(log_rel, None, dt)
         rng = np.random.default_rng(5)
-        u = u.copy()
         rows = rng.choice(150, 50, replace=False)
         u[rows, rng.integers(0, 1024, 50)] = 0.0
         got = _first_touch(log_rel, LOG_BAR, DEMO.sigma, dt, u)
-        assert np.array_equal(got, _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, dt, u))
+        assert np.array_equal(got, _dense(log_rel, u, dt))
         moved = got[rows] < grid_only[rows]
         assert moved.sum() >= 10
 
@@ -337,7 +325,7 @@ class TestFirstTouchKernel:
         """Stop index of the path 0.6, ``end``, 0.4 with ``draw`` on step 2 and no other crossing."""
         log_rel = np.log(np.array([[0.6, end, 0.4]]))
         u = np.array([[1.0 - 2.0**-53, draw, 1.0 - 2.0**-53]])
-        want = _first_touch_reference(log_rel, LOG_BAR, DEMO.sigma, self.DT, u)[0]
+        want = _dense(log_rel, u, self.DT)[0]
         assert _first_touch(log_rel, LOG_BAR, DEMO.sigma, self.DT, u)[0] == want
         return want
 
@@ -367,7 +355,7 @@ class TestFirstTouchKernel:
         log_rel = np.log(np.array([[0.6, 0.7, 0.4], [0.9, 0.8, 0.7]]))
         u = np.zeros_like(log_rel)
         got = _first_touch(log_rel, LOG_BAR, 1e-161, 1.0 / 1024, u)
-        assert got.tolist() == [3, 4]
+        assert got.tolist() == _dense(log_rel, u, 1.0 / 1024, sigma=1e-161).tolist() == [3, 4]
 
 
 class TestGainTrajectory:
@@ -406,13 +394,6 @@ class TestGainTrajectory:
 
 
 class TestRunBatch:
-    def test_repeatable(self):
-        grid = PathGrid(1.0, 64)
-        a = run_batch(DEMO, TRADE1, grid, 500, 4242)
-        b = run_batch(DEMO, TRADE1, grid, 500, 4242)
-        assert np.array_equal(a.terminal_gain, b.terminal_gain)
-        assert np.array_equal(a.stop_time, b.stop_time, equal_nan=True)
-
     def test_worker_count_is_invisible(self):
         grid = PathGrid(1.0, 32)
         a = run_batch(DEMO, TRADE1, grid, 2000, 7, n_workers=1)
@@ -426,26 +407,6 @@ class TestRunBatch:
         b = run_batch(DEMO, TRADE1, grid, 3000, 99, memory_budget_mb=512)
         assert np.array_equal(a.terminal_gain, b.terminal_gain)
         assert np.array_equal(a.stop_time, b.stop_time, equal_nan=True)
-
-    def test_single_path_composes_the_pieces(self):
-        # path_trajectory is one row of the batch kernel: terminal gain, stop
-        # time and stop index agree exactly, in every chunk of the batch
-        # (1 MiB holds 85 paths of 256 steps, so 200 paths take three chunks)
-        grid = PathGrid(1.0, 256)
-        n = 200
-        for k in (1.0, 2.0, 0.5):
-            trade = TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5)
-            for bridge in (True, False):
-                batch = run_batch(DEMO, trade, grid, n, 6060, bridge=bridge, memory_budget_mb=1)
-                assert batch.stopped.any() and not batch.stopped.all()
-                for i in range(n):
-                    p = path_trajectory(DEMO, trade, grid, 6060, i, bridge=bridge)
-                    assert p.g[-1] == batch.terminal_gain[i]
-                    if p.stop_index is None:
-                        assert math.isnan(batch.stop_time[i])
-                    else:
-                        assert p.times[p.stop_index] == batch.stop_time[i]
-                        assert grid.times[p.stop_index] == batch.stop_time[i]
 
     def test_stopped_k1_terminals_sit_on_the_atom(self):
         batch = run_batch(DEMO, TRADE1, PathGrid(1.0, 128), 4000, 31415)
@@ -505,19 +466,9 @@ class TestRunBatch:
             run_batch(DEMO, TRADE1, huge, 10, 1, memory_budget_mb=1)
 
     def test_sink_rows(self):
-        sink = io.StringIO()
-        assert run_batch(DEMO, TRADE1, PathGrid(1.0, 64), 50, 8, sink=sink) is None
-        batch = run_batch(DEMO, TRADE1, PathGrid(1.0, 64), 50, 8)
-        lines = sink.getvalue().splitlines()
-        assert len(lines) == 50
-        for i, line in enumerate(lines):
-            idx, t_field, g_field = line.split(",")
-            assert int(idx) == i
-            assert float(g_field) == batch.terminal_gain[i]  # 17 digits round-trips
-            if t_field == "":
-                assert math.isnan(batch.stop_time[i])
-            else:
-                assert float(t_field) == batch.stop_time[i]
+        # the rows of the batch the reference and run_batch agree on
+        _, want = _check(DEMO, TRADE1, PathGrid(1.0, 64), 50, 8)
+        _check(DEMO, TRADE1, PathGrid(1.0, 64), 50, 8, sink=True, want=want)
 
     @pytest.mark.parametrize("extra", [{"free_gain": True}, {"trajectory": True}])
     def test_sink_keeps_no_extras(self, extra):
@@ -562,6 +513,28 @@ class TestRunBatch:
         ]
         assert peaks[1] - peaks[0] < 2**19
 
+    def test_failing_sink_cancels_the_queued_chunks(self, monkeypatch):
+        # a sink that fails at its first write (a reader that left) cancels the
+        # chunks not yet started; a batch that succeeds waits for all of them
+        shutdowns = []
+
+        class Recording(simulate.ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append((wait, cancel_futures))
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recording)
+        args = (DEMO, TRADE1, PathGrid(1.0, 1024), 200, 7)  # 10 chunks of 21 paths in 1 MiB
+        with pytest.raises(BrokenPipeError):
+            run_batch(*args, n_workers=2, memory_budget_mb=1, sink=Closed())
+        assert shutdowns == [(True, True)]
+        run_batch(*args, n_workers=2, memory_budget_mb=1, sink=_CountingSink())
+        assert shutdowns == [(True, True), (True, False)]
+
 
 class _CountingSink:
     """A text sink that counts the rows written to it and keeps none; each write can be slow."""
@@ -575,53 +548,6 @@ class _CountingSink:
         time.sleep(self.delay)
 
 
-def _reference_trajectory(m, tr, grid, n_paths, master_seed):
-    """Per-step reductions over whole 2048-path matrices of ``_chunk_paths`` rows.
-
-    The gains, investments and account values are formed elementwise with
-    ``np.where`` over full matrices, the way the property legs computed them
-    before the batch kernel took them over.
-    """
-    n = grid.n_steps
-    half = 0.5 * m.sigma**2 * (tr.k - tr.k**2)
-    cap = tr.u0 + tr.k * tr.v0
-    min_v = min_u_active = math.inf
-    max_abs_u_stopped = 0.0
-    max_bound_excess = -math.inf
-    violations = {"survivability": 0, "long_only": 0, "control_bound": 0}
-    terminal = np.empty(n_paths)
-    for first in range(0, n_paths, 2048):
-        count = min(2048, n_paths - first)
-        log_rel, stop_idx = _fresh_paths(m, tr, grid, master_seed, first, count, True)
-        g = (tr.u0 / tr.k) * np.expm1(tr.k * log_rel + half * grid.times[1:])
-        stopped_mask = np.arange(1, n + 1) >= stop_idx[:, None]
-        if tr.s_star is not None:
-            stop_t = np.where(stop_idx <= n, grid.times[np.minimum(stop_idx, n)], np.nan)
-            frozen = (tr.u0 / tr.k) * np.expm1(
-                tr.k * math.log(tr.s_star / m.s0) + half * np.nan_to_num(stop_t)
-            )
-            g = np.where(stopped_mask, frozen[:, None], g)
-        u = np.where(stopped_mask, 0.0, tr.u0 + tr.k * g)
-        v = tr.v0 + g
-        active = ~stopped_mask
-        min_v = min(min_v, float(v.min()))
-        if active.any():
-            min_u_active = min(min_u_active, float(u[active].min()))
-        if stopped_mask.any():
-            max_abs_u_stopped = max(max_abs_u_stopped, float(np.abs(u[stopped_mask]).max()))
-        excess = np.abs(u) - (cap + tr.k * v)
-        max_bound_excess = max(max_bound_excess, float(excess.max()))
-        violations["survivability"] += int((v < 0).sum())
-        violations["long_only"] += int((u[active] <= 0).sum()) + int((u[stopped_mask] != 0).sum())
-        violations["control_bound"] += int((excess > 0).sum())
-        terminal[first : first + count] = g[:, -1]
-    stats = TrajectoryStats(
-        min_v, min_u_active, max_abs_u_stopped, max_bound_excess,
-        violations["survivability"], violations["long_only"], violations["control_bound"],
-    )
-    return stats, terminal
-
-
 class TestTrajectoryStats:
     GRID = PathGrid(1.0, 256)
     N_PATHS = 3000
@@ -632,14 +558,12 @@ class TestTrajectoryStats:
         TradeSpec(u0=1.0, k=2.0, v0=0.5),
     ], ids=["k2", "k0.5", "no-stop"])
     def test_matches_full_matrix_reference(self, trade):
-        ref, ref_terminal = _reference_trajectory(DEMO, trade, self.GRID, self.N_PATHS, 99)
-        # 2 MiB makes 170-path chunks; 512 MiB one chunk of many sub-blocks
+        # 2 MiB makes 170-path chunks; 512 MiB one chunk of many row blocks
+        want = None
         for n_workers in (1, 2):
             for budget_mb in (2, 512):
-                batch = run_batch(DEMO, trade, self.GRID, self.N_PATHS, 99, n_workers=n_workers,
-                                  memory_budget_mb=budget_mb, trajectory=True)
-                assert batch.trajectory == ref, (n_workers, budget_mb)
-                assert np.array_equal(batch.terminal_gain, ref_terminal)
+                _, want = _check(DEMO, trade, self.GRID, self.N_PATHS, 99, want=want, trajectory=True,
+                                 n_workers=n_workers, memory_budget_mb=budget_mb)
 
     def test_absent_unless_asked_for(self):
         batch = run_batch(DEMO, TRADE2, self.GRID, 10, 1)
@@ -655,15 +579,6 @@ class TestTrajectoryStats:
                               memory_budget_mb=budget_mb, free_gain=True)
             assert batch.stopped.any()
             assert np.array_equal(batch.free_gain, free.terminal_gain)
-
-
-def _rows_reference(first_path, terminal, stop_time):
-    """The per-row f-string formatter the block writer replaced."""
-    lines = []
-    for j in range(len(terminal)):
-        t_field = "" if np.isnan(stop_time[j]) else f"{stop_time[j]:.17g}"
-        lines.append(f"{first_path + j},{t_field},{terminal[j]:.17g}\n")
-    return "".join(lines)
 
 
 SPECIAL = [-0.0, 5e-324, -5e-324, 1e22, -1e22, math.inf, -math.inf, math.nan, 0.1, 1 / 3,
@@ -698,5 +613,5 @@ class TestCsvWriter:
         stop_time[-len(SPECIAL) :] = SPECIAL[-n:]
         sink = io.StringIO()
         _write_rows(sink, first_path, terminal, stop_time)
-        want = _rows_reference(first_path, terminal, stop_time)
-        assert sink.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
+        want = [reference.row(first_path + j, t, g) for j, (t, g) in enumerate(zip(stop_time, terminal))]
+        assert sink.getvalue().splitlines(keepends=True) == want
