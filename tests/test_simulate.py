@@ -188,6 +188,15 @@ class TestSamplePath:
         assert np.array_equal(a.prices, b.prices)
         assert np.array_equal(a.g, b.g)
 
+    def test_starts_at_s0(self):
+        grid = PathGrid(1.0, 16)
+        p = path_trajectory(DEMO, FREE1, grid, 1, 0)
+        assert p.prices[0] == 1.0
+        assert len(p.prices) == 17
+        assert np.array_equal(p.times, grid.times)
+        assert (p.prices > 0).all()
+        assert (p.g[0], p.u[0], p.v[0]) == (0.0, FREE1.u0, FREE1.v0)
+
     def test_matches_chunk_rows_bitwise(self):
         # the batched kernel reproduces per-path generation exactly,
         # including a step count that is not a multiple of four
@@ -241,6 +250,19 @@ class TestDetectStop:
         assert _touch([0.55, 0.6, 0.4], [1.0, 1.0, 1.0]) == 3  # draws of 1 never cross
         assert _touch([0.55, 0.6, 0.4], [1.0, 1.0, 0.0]) == 3  # step 3 is a grid touch
         assert _touch([0.9, 1.1], [0.0, 0.0]) == 1
+
+    def test_bridge_hit_lands_on_right_endpoint(self):
+        grid = PathGrid(1.0, 32)
+        plain = reference.batch(DEMO, TRADE1, grid, 200, 2718, bridge=False)
+        bridged = reference.batch(DEMO, TRADE1, grid, 200, 2718).stop
+        batch = run_batch(DEMO, TRADE1, grid, 200, 2718)
+        hits = 0
+        for i in range(200):
+            if bridged[i] <= 32 and bridged[i] != plain.stop[i]:
+                hits += 1
+                assert batch.stop_time[i] == grid.times[bridged[i]]
+                assert plain.log_rel[i, bridged[i] - 1] > LOG_BAR  # grid never saw the touch
+        assert hits > 0  # the correction must actually fire sometimes
 
 
 def _kernel_inputs(n_steps, n_paths, seed=4711):
@@ -394,6 +416,13 @@ class TestGainTrajectory:
 
 
 class TestRunBatch:
+    def test_repeatable(self):
+        grid = PathGrid(1.0, 64)
+        a = run_batch(DEMO, TRADE1, grid, 500, 4242)
+        b = run_batch(DEMO, TRADE1, grid, 500, 4242)
+        assert np.array_equal(a.terminal_gain, b.terminal_gain)
+        assert np.array_equal(a.stop_time, b.stop_time, equal_nan=True)
+
     def test_worker_count_is_invisible(self):
         grid = PathGrid(1.0, 32)
         a = run_batch(DEMO, TRADE1, grid, 2000, 7, n_workers=1)
@@ -407,6 +436,26 @@ class TestRunBatch:
         b = run_batch(DEMO, TRADE1, grid, 3000, 99, memory_budget_mb=512)
         assert np.array_equal(a.terminal_gain, b.terminal_gain)
         assert np.array_equal(a.stop_time, b.stop_time, equal_nan=True)
+
+    def test_single_path_composes_the_pieces(self):
+        # path_trajectory is one row of the batch kernel: terminal gain, stop
+        # time and stop index agree exactly, in every chunk of the batch
+        # (1 MiB holds 85 paths of 256 steps, so 200 paths take three chunks)
+        grid = PathGrid(1.0, 256)
+        n = 200
+        for k in (1.0, 2.0, 0.5):
+            trade = TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5)
+            for bridge in (True, False):
+                batch = run_batch(DEMO, trade, grid, n, 6060, bridge=bridge, memory_budget_mb=1)
+                assert batch.stopped.any() and not batch.stopped.all()
+                for i in range(n):
+                    p = path_trajectory(DEMO, trade, grid, 6060, i, bridge=bridge)
+                    assert p.g[-1] == batch.terminal_gain[i]
+                    if p.stop_index is None:
+                        assert math.isnan(batch.stop_time[i])
+                    else:
+                        assert p.times[p.stop_index] == batch.stop_time[i]
+                        assert grid.times[p.stop_index] == batch.stop_time[i]
 
     def test_stopped_k1_terminals_sit_on_the_atom(self):
         batch = run_batch(DEMO, TRADE1, PathGrid(1.0, 128), 4000, 31415)
