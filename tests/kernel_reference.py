@@ -58,9 +58,8 @@ def batch(m, tr, grid, n_paths, master_seed, bridge=True):
     v = tr.v0 + g
     excess = np.abs(u) - (tr.u0 + tr.k * tr.v0 + tr.k * v)
     stats = TrajectoryStats(
-        float(v.min()), float(u[~stopped].min(initial=math.inf)), float(np.abs(u[stopped]).max(initial=0.0)),
-        float(excess.max()), int(np.count_nonzero(v < 0)), int(np.count_nonzero(u[~stopped] <= 0)),
-        int(np.count_nonzero(excess > 0)),
+        float(v.min()), float(u[~stopped].min(initial=math.inf)), float(excess.max()),
+        int(np.count_nonzero(v < 0)), int(np.count_nonzero(u[~stopped] <= 0)), int(np.count_nonzero(excess > 0)),
     )
     stop_time = np.append(times, math.nan)[stop]  # NaN at n + 1
     rows = [row(i, t, x) for i, (t, x) in enumerate(zip(stop_time, g[:, -1]))]

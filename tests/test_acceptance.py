@@ -76,7 +76,7 @@ def test_criterion_05_decomposition_identity():
     for k in (2.0, 0.5):
         ctx = demo_ctx(k)
         for t in (0.25, 1.0, 4.0):
-            grid = comparison_grid(ctx, t, 512)
+            grid = comparison_grid(ctx, t)
             for x in grid:
                 x = float(x)
                 total = cdf_with_stop(CdfQuery(x, t), ctx).p

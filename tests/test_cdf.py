@@ -28,7 +28,6 @@ from stopgain.cdf import (
     joint_cdf_unstopped,
     joint_survival,
     omega,
-    _junction,
     std_normal_cdf,
     stopping_time_cdf,
     theta,
@@ -458,7 +457,7 @@ def _boundary_points(ctx, t):
     if tr.k == 1:
         points.append(g_star(tr, DEMO))
     else:
-        points.append(_junction(ctx))
+        points.append(g_star_t(tr, DEMO, 0.0))  # the junction
     if tr.k < 1:
         points.append(timid_floor(tr, DEMO))
     points = np.array(points)

@@ -152,9 +152,7 @@ class TestGainMapAccuracy:
         self.within_one_ulp(g_star_t(trade(0.5), DEMO, 1.0), "k05_g_level_t1")
 
     def test_junction_and_floor(self):
-        from stopgain.cdf import ShorthandContext, _junction
-
-        self.within_one_ulp(_junction(ShorthandContext(DEMO, trade(2.0))), "k2_junction")
+        self.within_one_ulp(g_star_t(trade(2.0), DEMO, 0.0), "k2_junction")
         self.within_one_ulp(timid_floor(trade(0.5), DEMO), "k05_hard_floor")
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import multiprocessing
 import time
 import tracemalloc
 
@@ -80,8 +81,8 @@ def _check(m, tr, grid, n_paths, seed, bridge=True, sink=False, probes=(0,), wan
     """Assert that run_batch (given ``opts``) and path_trajectory give the reference ``want`` bit for bit.
 
     With a ``sink`` its rows are compared, else the terminal gains, stop
-    times, free gains and statistics (None unless asked for), and each path
-    of ``probes`` from time 0 on.  Returns the batch (None with a sink) and ``want``.
+    times, free gains and the statistics (None unless asked for), and each
+    path of ``probes`` from time 0 on.  Returns the batch (None with a sink) and ``want``.
     """
     want = want or reference.batch(m, tr, grid, n_paths, seed, bridge)
     got = None
@@ -92,7 +93,7 @@ def _check(m, tr, grid, n_paths, seed, bridge=True, sink=False, probes=(0,), wan
     else:
         got = run_batch(m, tr, grid, n_paths, seed, bridge, **opts)
         for name in ("terminal_gain", "stop_time", "free_gain", "trajectory"):
-            asked = name in ("terminal_gain", "stop_time") or opts.get(name)
+            asked = name != "trajectory" or opts.get(name)
             assert _bits(getattr(got, name)) == _bits(getattr(want, name) if asked else None), name
     for i in probes:
         p, stop = path_trajectory(m, tr, grid, seed, i, bridge), int(want.stop[i])
@@ -123,16 +124,15 @@ def _cases(draw):
     # each of two row blocks, the second a partial one
     return dict(
         m=m, tr=tr, grid=grid, n_paths=n_paths, seed=draw(st.integers(0, 2**64 - 1)),
-        bridge=draw(st.booleans()), sink=sink,
-        free_gain=not sink and draw(st.booleans()), trajectory=not sink and draw(st.booleans()),
+        bridge=draw(st.booleans()), sink=sink, trajectory=not sink and draw(st.booleans()),
         memory_budget_mb=draw(st.sampled_from([1, DEFAULT_MEMORY_BUDGET_MB])),
         probes=(draw(st.integers(0, n_paths - 1)),),
     )
 
 
 @given(_cases())
-@example(dict(m=DEMO, tr=TRADE2, grid=PathGrid(1.0, 256), n_paths=300, seed=99, free_gain=True,
-              trajectory=True, memory_budget_mb=1, n_workers=2, probes=(299,)))
+@example(dict(m=DEMO, tr=TRADE2, grid=PathGrid(1.0, 256), n_paths=300, seed=99, trajectory=True,
+              memory_budget_mb=1, n_workers=2, probes=(299,)))
 @example(dict(m=MARKETS[1], tr=TradeSpec(u0=1.0, k=0.5, v0=2.0, s_star=1.5), grid=PathGrid(1.0, 1024),
               n_paths=50, seed=7, sink=True, memory_budget_mb=1, n_workers=2))
 def test_run_batch_equals_reference(case):
@@ -509,6 +509,19 @@ class TestRunBatch:
         with pytest.raises(ParameterError):
             run_batch(DEMO, bad, grid, 10, 1)
 
+    @pytest.mark.parametrize("bad", [
+        {"n_workers": math.inf}, {"n_workers": "2"}, {"n_workers": 2.5},
+        {"memory_budget_mb": math.inf}, {"memory_budget_mb": math.nan}, {"memory_budget_mb": 0.5},
+    ])
+    def test_worker_count_and_budget_are_integers(self, bad):
+        # a count that is not an integer >= 1 must not reach int(), the pool
+        # or the chunk size; numpy integers are counts too
+        grid = PathGrid(1.0, 4)
+        with pytest.raises(ParameterError):
+            run_batch(DEMO, TRADE1, grid, 10, 1, **bad)
+        ints = {name: np.int64(1) for name in bad}
+        assert run_batch(DEMO, TRADE1, grid, 10, 1, **ints).stop_time.size == 10
+
     def test_memory_budget(self):
         huge = PathGrid(1.0, 50_000)
         with pytest.raises(ResourceError):
@@ -519,10 +532,9 @@ class TestRunBatch:
         _, want = _check(DEMO, TRADE1, PathGrid(1.0, 64), 50, 8)
         _check(DEMO, TRADE1, PathGrid(1.0, 64), 50, 8, sink=True, want=want)
 
-    @pytest.mark.parametrize("extra", [{"free_gain": True}, {"trajectory": True}])
-    def test_sink_keeps_no_extras(self, extra):
+    def test_sink_keeps_no_extras(self):
         with pytest.raises(ParameterError):
-            run_batch(DEMO, TRADE1, PathGrid(1.0, 4), 10, 8, sink=io.StringIO(), **extra)
+            run_batch(DEMO, TRADE1, PathGrid(1.0, 4), 10, 8, sink=io.StringIO(), trajectory=True)
 
     @staticmethod
     def _traced_peak(n_paths, n_steps=1024, **kwargs):
@@ -581,8 +593,10 @@ class TestRunBatch:
         with pytest.raises(BrokenPipeError):
             run_batch(*args, n_workers=2, memory_budget_mb=1, sink=Closed())
         assert shutdowns == [(True, True)]
+        assert multiprocessing.active_children() == []  # no worker outlives the batch
         run_batch(*args, n_workers=2, memory_budget_mb=1, sink=_CountingSink())
         assert shutdowns == [(True, True), (True, False)]
+        assert multiprocessing.active_children() == []
 
 
 class _CountingSink:
@@ -617,15 +631,14 @@ class TestTrajectoryStats:
     def test_absent_unless_asked_for(self):
         batch = run_batch(DEMO, TRADE2, self.GRID, 10, 1)
         assert batch.trajectory is None
-        assert batch.free_gain is None
+        assert batch.free_gain.shape == (10,)  # kept on every in-memory batch
 
     @pytest.mark.parametrize("k", [2.0, 0.5])
     def test_free_gain_is_the_no_stop_batch(self, k):
         trade = TradeSpec(u0=1.0, k=k, v0=1.0 / k, s_star=0.5)
         free = run_batch(DEMO, dataclasses.replace(trade, s_star=None), self.GRID, self.N_PATHS, 5)
         for budget_mb in (2, 512):
-            batch = run_batch(DEMO, trade, self.GRID, self.N_PATHS, 5,
-                              memory_budget_mb=budget_mb, free_gain=True)
+            batch = run_batch(DEMO, trade, self.GRID, self.N_PATHS, 5, memory_budget_mb=budget_mb)
             assert batch.stopped.any()
             assert np.array_equal(batch.free_gain, free.terminal_gain)
 
