@@ -14,6 +14,7 @@ separately keyed stream, so toggling it never perturbs the price paths.
 """
 
 import math
+import multiprocessing
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -307,6 +308,16 @@ def _trajectory_stats(tr, m, log_rel, stop_idx, frozen, times):
     )
 
 
+# The stop event of a worker process of :func:`_pool`; None in any other process.
+_stop = None
+
+
+def _set_stop(event):
+    """Worker initializer of :func:`_pool`: keep the pool's stop event."""
+    global _stop
+    _stop = event
+
+
 def _simulate_chunk(m, tr, grid, master_seed, first_path, n_paths, bridge, trajectory):
     """Outcomes of one contiguous block of paths, a row block at a time.
 
@@ -316,7 +327,9 @@ def _simulate_chunk(m, tr, grid, master_seed, first_path, n_paths, bridge, traje
     ``trajectory``).  Every gain comes from :func:`model.gain`.  Each row
     block is drawn, searched and reduced before the next is drawn, from one
     pair of streams set up for the chunk; the paths' own counters make that
-    the chunk-wide draw.
+    the chunk-wide draw.  In a pool worker whose stop event is set, it
+    returns before the next row block, with the outcomes of the paths drawn
+    so far.
     """
     n = grid.n_steps
     stop_time, frozen = _stops(tr, m, grid)
@@ -329,6 +342,9 @@ def _simulate_chunk(m, tr, grid, master_seed, first_path, n_paths, bridge, traje
     # as the inf - inf of its bound excess
     with np.errstate(over="ignore"):
         for first in range(0, n_paths, step):
+            if _stop is not None and _stop.is_set():
+                stop_idx, last = stop_idx[:first], last[:first]
+                break
             rows = slice(first, min(first + step, n_paths))
             log_rel, stop_idx[rows] = _chunk_paths(m, tr, grid, streams, rows.stop - first)
             last[rows] = log_rel[:, -1]
@@ -337,6 +353,11 @@ def _simulate_chunk(m, tr, grid, master_seed, first_path, n_paths, bridge, traje
                 stats = stats.merge(_trajectory_stats(tr, m, log_rel, block, frozen[block], stop_time[1:-1]))
     free = gain(tr, m, last, grid.t_end)
     return np.where(stop_idx <= n, frozen[stop_idx], free), stop_time[stop_idx], free, stats
+
+
+def _sink_chunk(*job):
+    """The terminal gains and stop times of :func:`_simulate_chunk`: what a sink writes."""
+    return _simulate_chunk(*job)[:2]
 
 
 @dataclass(frozen=True)
@@ -385,8 +406,8 @@ def path_trajectory(
     )
 
 
-def _in_order(pool, jobs, window):
-    """Results of the :func:`_simulate_chunk` ``jobs`` in job order, run on ``pool``.
+def _in_order(pool, kernel, jobs, window):
+    """Results of ``kernel`` on each of ``jobs`` in job order, run on ``pool``.
 
     At most ``window`` chunks are submitted and not yet taken, so the pool
     runs ahead of a slow consumer by a bounded amount and no finished result
@@ -394,7 +415,7 @@ def _in_order(pool, jobs, window):
     """
     pending = deque()
     for job in jobs:
-        pending.append(pool.submit(_simulate_chunk, *job))
+        pending.append(pool.submit(kernel, *job))
         if len(pending) == window:
             yield pending.popleft().result()
     while pending:
@@ -402,20 +423,28 @@ def _in_order(pool, jobs, window):
 
 
 @contextmanager
-def _pool(n_workers, n_chunks):
+def _pool(n_workers, n_chunks, streamed):
     """A pool of ``n_workers`` processes for the chunks, or None when this process runs them.
 
+    A batch of more than one chunk ``streamed`` to a sink always gets a pool,
+    one worker included, so this process writes a chunk while the workers
+    draw the next.  An in-memory batch has nothing to overlap and runs here
+    with one worker, as does a batch of one chunk.
+
     It is left once every submitted chunk is done.  When the caller raised
-    (a failing sink, a reader that closed the pipe), the chunks no worker has
-    taken yet are cancelled first; those already handed to a worker still run.
+    (a failing sink, a reader that closed the pipe), the pool's stop event is
+    set, so each worker's chunk returns at its next row block, and the chunks
+    no worker has taken yet are cancelled.
     """
-    if n_workers == 1 or n_chunks == 1:
+    if n_chunks == 1 or (n_workers == 1 and not streamed):
         yield None
         return
-    pool = ProcessPoolExecutor(max_workers=n_workers)
+    stop = multiprocessing.Event()
+    pool = ProcessPoolExecutor(max_workers=n_workers, initializer=_set_stop, initargs=(stop,))
     try:
         yield pool
     except BaseException:
+        stop.set()
         pool.shutdown(cancel_futures=True)
         raise
     pool.shutdown()
@@ -471,8 +500,11 @@ def run_batch(
     empty ``t_star`` field for paths that never stop, and ``None`` is
     returned.  Rows are formatted a chunk at a time as each chunk arrives,
     and nothing is kept per path, so the memory used is that of a few chunks
-    whatever ``n_paths`` and however slow the sink.  The bytes depend only on
-    the seed and the model, grid and trade arguments, not on ``n_workers`` or
+    whatever ``n_paths`` and however slow the sink.  A sink batch of more
+    than one chunk draws its chunks in ``n_workers`` worker processes, one
+    included, while this process writes; when the sink raises, the workers
+    stop at their next row block.  The bytes depend only on the seed and the
+    model, grid and trade arguments, not on ``n_workers`` or
     ``memory_budget_mb``.
 
     An in-memory batch also keeps each path's terminal gain without the
@@ -493,11 +525,12 @@ def run_batch(
         (m, tr, grid, int(master_seed), s, min(chunk, n_paths - s), bridge, trajectory)
         for s in starts
     )
-    with _pool(int(n_workers), len(starts)) as pool:
-        results = _in_order(pool, jobs, 2 * int(n_workers)) if pool else starmap(_simulate_chunk, jobs)
+    kernel = _simulate_chunk if sink is None else _sink_chunk
+    with _pool(int(n_workers), len(starts), sink is not None) as pool:
+        results = _in_order(pool, kernel, jobs, 2 * int(n_workers)) if pool else starmap(kernel, jobs)
         chunks = zip(starts, results)
         if sink is not None:
-            for s, (term, st, _, _) in chunks:
+            for s, (term, st) in chunks:
                 _write_rows(sink, s, term, st)
             return None
         terminal, stop_time, free = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
@@ -520,7 +553,9 @@ def _write_rows(sink, first_path, terminal, stop_time):
 
 # Rows per block of write_csv: one % operation over a flat tuple formats a block
 # with the bytes of a per-field %, and keeps its text and tuple well under 1 MiB.
-_CSV_BLOCK_ROWS = 4096
+# 2048 rows format as fast as 4096 and leave room for the chunks a pipelined
+# sink batch holds while it writes.
+_CSV_BLOCK_ROWS = 2048
 
 
 def write_csv(sink, columns, formats=None):

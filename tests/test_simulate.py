@@ -574,9 +574,11 @@ class TestRunBatch:
         ]
         assert peaks[1] - peaks[0] < 2**19
 
-    def test_failing_sink_cancels_the_queued_chunks(self, monkeypatch):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failing_sink_cancels_the_queued_chunks(self, monkeypatch, n_workers):
         # a sink that fails at its first write (a reader that left) cancels the
-        # chunks not yet started; a batch that succeeds waits for all of them
+        # chunks not yet started; a batch that succeeds waits for all of them.
+        # A sink batch of many chunks runs in a pool for one worker too.
         shutdowns = []
 
         class Recording(simulate.ProcessPoolExecutor):
@@ -591,12 +593,38 @@ class TestRunBatch:
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recording)
         args = (DEMO, TRADE1, PathGrid(1.0, 1024), 200, 7)  # 10 chunks of 21 paths in 1 MiB
         with pytest.raises(BrokenPipeError):
-            run_batch(*args, n_workers=2, memory_budget_mb=1, sink=Closed())
+            run_batch(*args, n_workers=n_workers, memory_budget_mb=1, sink=Closed())
         assert shutdowns == [(True, True)]
         assert multiprocessing.active_children() == []  # no worker outlives the batch
-        run_batch(*args, n_workers=2, memory_budget_mb=1, sink=_CountingSink())
+        run_batch(*args, n_workers=n_workers, memory_budget_mb=1, sink=_CountingSink())
         assert shutdowns == [(True, True), (True, False)]
         assert multiprocessing.active_children() == []
+
+    def test_stop_event_ends_a_chunk_at_the_next_row_block(self, monkeypatch):
+        # a worker's chunk returns the paths drawn before its stop event was
+        # set, and draws nothing once it is set; run in this process, with
+        # the kind of event the pool hands its workers
+        want = run_batch(DEMO, TRADE2, PathGrid(1.0, 1024), 32, 3)
+        event = multiprocessing.Event()
+        calls = []
+        real_chunk_paths = simulate._chunk_paths
+
+        def chunk_paths(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                event.set()
+            return real_chunk_paths(*args)
+
+        monkeypatch.setattr(simulate, "_chunk_paths", chunk_paths)
+        monkeypatch.setattr(simulate, "_stop", event)
+        job = (DEMO, TRADE2, PathGrid(1.0, 1024), 3, 0, 100, True, False)  # 16-row blocks
+        terminal, stop_time, free, _ = simulate._simulate_chunk(*job)
+        assert len(calls) == 2
+        assert np.array_equal(terminal, want.terminal_gain)
+        assert np.array_equal(stop_time, want.stop_time, equal_nan=True)
+        assert np.array_equal(free, want.free_gain)
+        assert [len(a) for a in simulate._simulate_chunk(*job)[:3]] == [0, 0, 0]
+        assert len(calls) == 2  # returned before its first row block
 
 
 class _CountingSink:
@@ -648,7 +676,7 @@ SPECIAL = [-0.0, 5e-324, -5e-324, 1e22, -1e22, math.inf, -math.inf, math.nan, 0.
 
 
 class TestCsvWriter:
-    @pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [1, 2 * _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 1])
     @pytest.mark.parametrize("n_cols", [1, 2, 5])
     def test_matches_savetxt_and_per_field_format(self, n, n_cols):
         rng = np.random.default_rng(n * 10 + n_cols)
@@ -663,7 +691,7 @@ class TestCsvWriter:
         assert lines == ref.getvalue().splitlines(keepends=True)
         assert lines == [",".join(f"{v:.17g}" for v in row) + "\n" for row in data]
 
-    @pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [1, 2 * _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 1])
     @pytest.mark.parametrize("first_path", [0, 2**31 + 7, 2**40 - 3])
     def test_batch_rows_match_per_row_reference(self, n, first_path):
         rng = np.random.default_rng(n)
