@@ -9,10 +9,12 @@ are vectorized over the level: an array query gets arrays of values and tags.
 Internals evaluate the normal-CDF arguments from logarithms directly, which
 keeps every expression finite for feedback gains far above one, where the
 intermediate growth factors would overflow.  The tests check the law against
-50-digit references up to k = 53 on the demo market (s*/s0 = 1/2).  From
-k = 54 on there the floor ``g_star_t(0)`` rounds onto ``-u0/k``, where
+50-digit references up to k = 53 on the demo market (s*/s0 = 1/2).  Once
+k ln(s0/s*) exceeds about 37.4 (ln 2**54), the floor
+``g_star_t(0) = (u0/k) expm1(k ln(s*/s0))`` rounds onto ``-u0/k``, where
 ``a_of_x`` and ``theta`` are undefined, so every level raises
-:class:`DomainError`.
+:class:`DomainError`.  The law works at k = 16 for s*/s0 = 0.1 and raises
+at 17; at 53 and 54 for 0.5; at 355 and 356 for 0.9.
 """
 
 import math

@@ -13,11 +13,12 @@ size or worker count.  The bridge correction draws its uniforms from the
 separately keyed stream, so toggling it never perturbs the price paths.
 """
 
+import contextvars
 import math
 import multiprocessing
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -93,14 +94,15 @@ def _stream(key: np.ndarray, first_path: int, n_steps: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _draw_uniforms(stream: np.random.Generator, n_paths: int, n_steps: int) -> np.ndarray:
-    """Uniforms of the next ``n_paths`` paths of ``stream``, one row each.
+def _draw_uniforms(stream: np.random.Generator, n_paths: int, n_steps: int, out=None) -> np.ndarray:
+    """Uniforms of the next ``n_paths`` paths of ``stream``, one row each, in ``out`` if given.
 
     A row takes ``C`` whole counters of 4 variates each, so the draw ends
     where the next path's counters begin: row ``j`` of any draw is exactly
-    what a fresh :func:`_stream` at that path would emit.
+    what a fresh :func:`_stream` at that path would emit.  ``out`` is then
+    an ``(n_paths, 4 C)`` float64 array.
     """
-    return stream.random((n_paths, 4 * _counters_per_path(n_steps)))[:, :n_steps]
+    return stream.random((n_paths, 4 * _counters_per_path(n_steps)), out=out)[:, :n_steps]
 
 
 def _streams(tr, grid, master_seed, first_path, bridge):
@@ -125,6 +127,12 @@ def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
 # 540k minor faults per 50000 x 1024 batch, against about 400); blocks of
 # 2**13 cells or fewer spent more on per-block calls than they saved.
 _BLOCK_CELLS = 2**14
+
+# Row blocks per group of price increments the chunk kernel draws at once.
+# An in-process chunk draws each group on a helper thread while it searches
+# the previous one, and a hand-off per group rather than per block keeps the
+# two threads from trading the GIL at every block.
+_DRAW_BLOCKS = 4
 
 # A bridge cell whose exponent is at most this cannot cross unless its draw is
 # exactly 0: exp(-40) < 2**-54, below the smallest positive Philox uniform.
@@ -229,29 +237,38 @@ class BatchResult:
         return float(self.stopped.mean())
 
 
-def _chunk_paths(m, tr, grid, streams, n_paths):
-    """Log-relative price matrix and stop indices for the next ``n_paths`` paths of ``streams``.
+def _price_increments(m, grid, price, n_paths, out=None):
+    """Log price increments of the next ``n_paths`` paths of the ``price`` stream, one row each.
 
-    ``streams`` are the price and bridge streams of :func:`_streams`, each
-    left at the first path after this block.  Returns ``(log_rel,
+    The first stage of the chunk kernel: the drift plus the scaled normal of
+    each step, which is all a path's price draws feed.  They are computed in
+    ``out`` if given, as for :func:`_draw_uniforms`.
+    """
+    dt = grid.dt
+    z = _normals_from_uniforms(_draw_uniforms(price, n_paths, grid.n_steps, out))
+    np.multiply(z, m.sigma * math.sqrt(dt), out=z)
+    z += m.drift_rate * dt
+    return z
+
+
+def _block_paths(m, tr, grid, bridge, z):
+    """Log-relative price matrix and stop indices of the paths whose increments are ``z``.
+
+    The second stage of the chunk kernel; ``z`` is consumed.  ``bridge`` is
+    the bridge stream of :func:`_streams` at the block's first path (or
+    None), and is left at the first path after it.  Returns ``(log_rel,
     stop_idx)``: ``log_rel[j, i]`` is the log price ratio at grid time
     ``i + 1`` for the block's path ``j``, and ``stop_idx`` is the per-path
     first-touch index in ``[1, n_steps]`` (``n_steps + 1`` when the path
     never stops, everywhere when the trade has no stop order).
     """
-    price, bridge = streams
-    n = grid.n_steps
-    dt = grid.dt
-    z = _normals_from_uniforms(_draw_uniforms(price, n_paths, n))
-    np.multiply(z, m.sigma * math.sqrt(dt), out=z)
-    z += m.drift_rate * dt
+    n_paths, n = z.shape
     log_rel = np.cumsum(z, axis=1, out=z)
     if tr.s_star is None:
         return log_rel, np.full(n_paths, n + 1, dtype=np.int64)
     log_bar = math.log(tr.s_star / m.s0)
     uniforms = None if bridge is None else _draw_uniforms(bridge, n_paths, n)
-    stop_idx = _first_touch(log_rel, log_bar, m.sigma, dt, uniforms)
-    return log_rel, stop_idx
+    return log_rel, _first_touch(log_rel, log_bar, m.sigma, grid.dt, uniforms)
 
 
 def _stops(tr, m, grid):
@@ -318,39 +335,75 @@ def _set_stop(event):
     _stop = event
 
 
+def _ahead(items):
+    """The items of ``items``, none of them None, the next drawn on a helper thread while the caller uses this one.
+
+    One item is in flight at a time, drawn in a copy of the caller's context,
+    so numpy's error state holds on the helper too.  The thread is joined
+    when the items run out, when either side raises and when the generator
+    is closed.
+    """
+    items = iter(items)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+
+        def fetch():
+            return helper.submit(contextvars.copy_context().run, next, items, None)
+
+        pending = fetch()
+        while (item := pending.result()) is not None:
+            pending = fetch()
+            yield item
+
+
 def _simulate_chunk(m, tr, grid, master_seed, first_path, n_paths, bridge, trajectory):
     """Outcomes of one contiguous block of paths, a row block at a time.
 
     Returns ``(terminal, stop_time, free, stats)``: the terminal gain, the
     stop time (NaN where the stop never fired), the terminal gain without a
     stop order, and the block's :class:`TrajectoryStats` (None unless
-    ``trajectory``).  Every gain comes from :func:`model.gain`.  Each row
-    block is drawn, searched and reduced before the next is drawn, from one
-    pair of streams set up for the chunk; the paths' own counters make that
-    the chunk-wide draw.  In a pool worker whose stop event is set, it
-    returns before the next row block, with the outcomes of the paths drawn
-    so far.
+    ``trajectory``).  Every gain comes from :func:`model.gain`.  The price
+    increments are drawn :data:`_DRAW_BLOCKS` row blocks at a time, and each
+    row block is then summed, searched with its bridge draws and reduced,
+    from one pair of streams set up for the chunk; the paths' own counters
+    make that the chunk-wide draw.  In this process a helper thread draws the
+    next group of increments while the row blocks of this one are searched;
+    each stream is still read by one thread, in path order.  A pool worker,
+    whose process already has a core of its own, draws inline, and when its
+    stop event is set it returns before the next row block, with the
+    outcomes of the paths searched so far.
     """
     n = grid.n_steps
     stop_time, frozen = _stops(tr, m, grid)
     stop_idx = np.empty(n_paths, dtype=np.int64)
     last = np.empty(n_paths)  # log price ratio at t_end
     stats = TrajectoryStats() if trajectory else None
-    streams = _streams(tr, grid, master_seed, first_path, bridge)
+    price, bridge = _streams(tr, grid, master_seed, first_path, bridge)
     step = max(1, _BLOCK_CELLS // n)
+    size = _DRAW_BLOCKS * step
+    # group g is drawn into buffer g % 2 once the loop below has asked for
+    # group g - 1, and so is done with group g - 2: at most one is drawn ahead
+    buffers = np.empty((2, min(size, n_paths), 4 * _counters_per_path(n)))
+    groups = (
+        _price_increments(m, grid, price, min(size, n_paths - start), buffers[g % 2, : n_paths - start])
+        for g, start in enumerate(range(0, n_paths, size))
+    )
+    if _stop is None:
+        groups = _ahead(groups)
+    first = 0
     # for _first_touch; an overflowing gain in the trajectory pass still warns,
     # as the inf - inf of its bound excess
-    with np.errstate(over="ignore"):
-        for first in range(0, n_paths, step):
+    with np.errstate(over="ignore"), closing(groups):
+        for z in (group[i : i + step] for group in groups for i in range(0, len(group), step)):
             if _stop is not None and _stop.is_set():
-                stop_idx, last = stop_idx[:first], last[:first]
                 break
-            rows = slice(first, min(first + step, n_paths))
-            log_rel, stop_idx[rows] = _chunk_paths(m, tr, grid, streams, rows.stop - first)
+            rows = slice(first, first + len(z))
+            log_rel, stop_idx[rows] = _block_paths(m, tr, grid, bridge, z)
             last[rows] = log_rel[:, -1]
             if trajectory:
                 block = stop_idx[rows]
                 stats = stats.merge(_trajectory_stats(tr, m, log_rel, block, frozen[block], stop_time[1:-1]))
+            first = rows.stop
+    stop_idx, last = stop_idx[:first], last[:first]
     free = gain(tr, m, last, grid.t_end)
     return np.where(stop_idx <= n, frozen[stop_idx], free), stop_time[stop_idx], free, stats
 
@@ -394,8 +447,9 @@ def path_trajectory(
     _check_stream(master_seed, path_index)
     if tr.s_star is not None:
         require_stop(tr, m)
+    price, bridge = _streams(tr, grid, master_seed, path_index, bridge)
     with np.errstate(over="ignore"):  # for _first_touch
-        log_rel, stop_idx = _chunk_paths(m, tr, grid, _streams(tr, grid, master_seed, path_index, bridge), 1)
+        log_rel, stop_idx = _block_paths(m, tr, grid, bridge, _price_increments(m, grid, price, 1))
     log_rel = np.pad(log_rel, ((0, 0), (1, 0)))  # time 0, where the log price ratio is 0
     frozen = _stops(tr, m, grid)[1][stop_idx]
     g, u, _ = _rule_steps(tr, m, log_rel, np.arange(grid.n_steps + 1), stop_idx, frozen, grid.times)
@@ -488,12 +542,16 @@ def run_batch(
 
     Output order is by path index and is bit-identical for any ``n_workers``
     and any chunking, because every path owns its own random stream.  Chunks
-    are simulated a row block at a time, so the working set is one block plus
+    are simulated a row block at a time, so the working set is one block and
+    two buffers of :data:`_DRAW_BLOCKS` blocks of price increments, plus
     about 40 bytes a path of the chunk, and 24 bytes a path of the batch for
     the result.  ``memory_budget_mb`` sets the chunk size, and a grid so fine
     that one path's block exceeds it raises :class:`ResourceError`.
     With ``n_workers > 1`` the chunks run in worker processes, at most
-    ``2 * n_workers`` of them submitted and not yet taken at any time.
+    ``2 * n_workers`` of them submitted and not yet taken at any time.  A
+    chunk run in this process draws its next group of price increments on a
+    helper thread while it searches the current one, so it uses up to two
+    cores; a worker process draws inline.
 
     With a ``sink`` (writable text stream), rows ``path_index,t_star,gain``
     are written in index order instead, with 17 significant digits and an

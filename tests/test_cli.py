@@ -648,19 +648,19 @@ PINNED_FIGURE2_CSV_SHA256 = "a3f405815fa278d30d028aaf2ae6f638ba3d6924dce070a962d
 def simulated(monkeypatch):
     """Counts ``run_batch`` calls and the paths the chunk kernel draws."""
     counts = {"run_batch": 0, "paths": 0}
-    real_run_batch, real_chunk_paths = simulate.run_batch, simulate._chunk_paths
+    real_run_batch, real_price_increments = simulate.run_batch, simulate._price_increments
 
     def run_batch(*args, **kwargs):
         counts["run_batch"] += 1
         return real_run_batch(*args, **kwargs)
 
-    def chunk_paths(m, tr, grid, streams, n_paths):
+    def price_increments(m, grid, price, n_paths, out=None):
         counts["paths"] += n_paths
-        return real_chunk_paths(m, tr, grid, streams, n_paths)
+        return real_price_increments(m, grid, price, n_paths, out)
 
     monkeypatch.setattr(cli, "run_batch", run_batch)
     monkeypatch.setattr(verify, "run_batch", run_batch)
-    monkeypatch.setattr(simulate, "_chunk_paths", chunk_paths)
+    monkeypatch.setattr(simulate, "_price_increments", price_increments)
     return counts
 
 

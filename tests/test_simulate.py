@@ -4,6 +4,8 @@ import dataclasses
 import io
 import math
 import multiprocessing
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -135,6 +137,21 @@ def _cases(draw):
               memory_budget_mb=1, n_workers=2, probes=(299,)))
 @example(dict(m=MARKETS[1], tr=TradeSpec(u0=1.0, k=0.5, v0=2.0, s_star=1.5), grid=PathGrid(1.0, 1024),
               n_paths=50, seed=7, sink=True, memory_budget_mb=1, n_workers=2))
+# at 1024 steps a row block is 16 rows and a draw group 64: a chunk that ends
+# mid-group, one under a block, one row, and three 21-path chunks in 1 MiB
+@example(dict(m=DEMO, tr=TRADE2, grid=PathGrid(1.0, 1024), n_paths=150, seed=5, trajectory=True, probes=(149,)))
+@example(dict(m=MARKETS[1], tr=TradeSpec(u0=1.0, k=2.0, v0=0.5, s_star=1.0), grid=PathGrid(1.0, 1024),
+              n_paths=5, seed=6, probes=(4,)))
+@example(dict(m=DEMO, tr=TRADE1, grid=PathGrid(1.0, 1024), n_paths=1, seed=2**64 - 1, trajectory=True))
+@example(dict(m=DEMO, tr=TRADE1, grid=PathGrid(1.0, 1024), n_paths=60, seed=10, bridge=False, trajectory=True,
+              memory_budget_mb=1, probes=(59,)))
+# one step and seven: a row block of 16384 and 2340 rows, and padded draws
+@example(dict(m=MARKETS[1], tr=TradeSpec(u0=1.0, k=2.0, v0=0.5, s_star=1.0), grid=PathGrid(0.25, 1),
+              n_paths=300, seed=8, trajectory=True, probes=(299,)))
+@example(dict(m=DEMO, tr=TRADE2, grid=PathGrid(3.0, 7), n_paths=300, seed=9, trajectory=True, probes=(123,)))
+# no stop order, so no bridge draws; at 256 steps a group is 256 rows
+@example(dict(m=MARKETS[1], tr=TradeSpec(u0=1.0, k=0.5, v0=2.0), grid=PathGrid(1.0, 256), n_paths=300, seed=11,
+              trajectory=True, probes=(257,)))
 def test_run_batch_equals_reference(case):
     _check(**case)
 
@@ -553,8 +570,10 @@ class TestRunBatch:
         assert self._traced_peak(1500, memory_budget_mb=budget_mb, trajectory=trajectory) <= budget_mb * 2**20
 
     def test_peak_memory_is_one_row_block(self):
-        # one chunk of 6000 paths peaks near 1 MiB: its outcomes and one row
-        # block's temporaries; chunk-wide matrices took 141 MiB
+        # one chunk of 6000 paths peaks near 1.8 MiB: its outcomes, one row
+        # block's temporaries and two 512 KiB buffers of price increments, the
+        # group searched and the one the helper draws; chunk-wide matrices
+        # took 141 MiB
         assert self._traced_peak(6000, trajectory=True) < 16 * 2**20
 
     def test_peak_memory_of_a_sink_is_per_chunk(self):
@@ -607,15 +626,15 @@ class TestRunBatch:
         want = run_batch(DEMO, TRADE2, PathGrid(1.0, 1024), 32, 3)
         event = multiprocessing.Event()
         calls = []
-        real_chunk_paths = simulate._chunk_paths
+        real_block_paths = simulate._block_paths
 
-        def chunk_paths(*args):
+        def block_paths(*args):
             calls.append(args)
             if len(calls) == 2:
                 event.set()
-            return real_chunk_paths(*args)
+            return real_block_paths(*args)
 
-        monkeypatch.setattr(simulate, "_chunk_paths", chunk_paths)
+        monkeypatch.setattr(simulate, "_block_paths", block_paths)
         monkeypatch.setattr(simulate, "_stop", event)
         job = (DEMO, TRADE2, PathGrid(1.0, 1024), 3, 0, 100, True, False)  # 16-row blocks
         terminal, stop_time, free, _ = simulate._simulate_chunk(*job)
@@ -625,6 +644,70 @@ class TestRunBatch:
         assert np.array_equal(free, want.free_gain)
         assert [len(a) for a in simulate._simulate_chunk(*job)[:3]] == [0, 0, 0]
         assert len(calls) == 2  # returned before its first row block
+
+
+class _Failure(Exception):
+    pass
+
+
+class TestDrawAhead:
+    """The helper thread that draws an in-process chunk's next price increments."""
+
+    ARGS = (DEMO, TRADE2, PathGrid(1.0, 1024), 200, 3)  # four groups of 64 rows in one chunk
+
+    def test_draws_in_the_callers_float_environment(self, monkeypatch):
+        # numpy's error state is a context variable, which a new thread does
+        # not inherit; the helper draws in the caller's
+        draws, searches = [], []
+        real_draw, real_search = simulate._price_increments, simulate._block_paths
+
+        def draw(*args):
+            draws.append((threading.get_ident(), np.geterr()))
+            return real_draw(*args)
+
+        def search(*args):
+            searches.append(np.geterr())
+            return real_search(*args)
+
+        monkeypatch.setattr(simulate, "_price_increments", draw)
+        monkeypatch.setattr(simulate, "_block_paths", search)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            run_batch(*self.ARGS)
+        want = dict(divide="ignore", over="ignore", under="ignore", invalid="ignore")
+        assert len(draws) == 4 and len(searches) == 13
+        assert all(state == want for _, state in draws) and all(state == want for state in searches)
+        assert threading.get_ident() not in {thread for thread, _ in draws}
+
+    @pytest.mark.parametrize("stage", ["_price_increments", "_first_touch"])
+    def test_a_failing_stage_joins_the_helper(self, monkeypatch, stage):
+        # the draw failing on the helper at its second group, or the search
+        # failing here at its second row block, ends the batch with that
+        # error, and no thread outlives it
+        real, calls, error = getattr(simulate, stage), [], _Failure(stage)
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(simulate, stage, failing)
+        before = threading.active_count()
+        with pytest.raises(_Failure) as raised:
+            run_batch(*self.ARGS)
+        assert raised.value is error
+        assert threading.active_count() == before
+
+    def test_a_batch_leaves_no_thread(self):
+        # with the two threads made to trade the interpreter every microsecond,
+        # the helper's buffers are still handed over intact
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _check(*self.ARGS, trajectory=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
 
 
 class _CountingSink:
