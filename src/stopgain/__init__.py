@@ -20,7 +20,6 @@ from .cdf import (
     cdf_with_stop,
     joint_cdf_stopped,
     joint_cdf_unstopped,
-    joint_survival,
     omega,
     std_normal_cdf,
     stopping_time_cdf,
@@ -36,14 +35,12 @@ from .errors import (
 )
 from .model import (
     MarketParams,
-    Regime,
     TradeSpec,
     check_survivability,
     expected_gain_lower_bound,
     g_star,
     g_star_t,
     gain,
-    gain_no_stop,
     timid_floor,
     z_star,
 )
@@ -85,13 +82,11 @@ __all__ = [
     # model
     "MarketParams",
     "TradeSpec",
-    "Regime",
     "z_star",
     "g_star",
     "g_star_t",
     "timid_floor",
     "gain",
-    "gain_no_stop",
     "check_survivability",
     "expected_gain_lower_bound",
     # cdf
@@ -107,7 +102,6 @@ __all__ = [
     "cdf_no_stop",
     "omega",
     "stopping_time_cdf",
-    "joint_survival",
     "theta",
     "joint_cdf_stopped",
     "joint_cdf_unstopped",

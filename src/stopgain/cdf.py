@@ -8,13 +8,13 @@ are vectorized over the level: an array query gets arrays of values and tags.
 
 Internals evaluate the normal-CDF arguments from logarithms directly, which
 keeps every expression finite for feedback gains far above one, where the
-intermediate growth factors would overflow.  The tests check the law against
-50-digit references up to k = 53 on the demo market (s*/s0 = 1/2).  Once
-k ln(s0/s*) exceeds about 37.4 (ln 2**54), the floor
-``g_star_t(0) = (u0/k) expm1(k ln(s*/s0))`` rounds onto ``-u0/k``, where
-``a_of_x`` and ``theta`` are undefined, so every level raises
-:class:`DomainError`.  The law works at k = 16 for s*/s0 = 0.1 and raises
-at 17; at 53 and 54 for 0.5; at 355 and 356 for 0.9.
+intermediate growth factors would overflow.  One law serves every k: the
+stopped gains fill a band between the values of ``g_star_t`` at 0 and t,
+and survivors add their tail above the level curve.  The tests check it
+against 50-digit references up to k = 1500.  Once k ln(s0/s*) exceeds
+about 37.4 (ln 2**54), the band rounds onto ``-u0/k``; the law is then a
+step within one ulp of ``-u0/k``, and ``a_of_x`` and ``theta`` are only
+ever evaluated at levels above it.
 """
 
 import math
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, ParameterError, RegimeError
-from .model import MarketParams, Regime, TradeSpec, g_star_t, require_stop, z_star
+from .model import MarketParams, TradeSpec, g_star_t, require_stop, z_star
 
 __all__ = [
     "ShorthandContext",
@@ -34,7 +34,6 @@ __all__ = [
     "a_of_x",
     "cdf_no_stop",
     "stopping_time_cdf",
-    "joint_survival",
     "omega",
     "theta",
     "joint_cdf_stopped",
@@ -181,20 +180,12 @@ def stopping_time_cdf(t, ctx: ShorthandContext):
     return 1.0 - omega(t, ctx)
 
 
-def joint_survival(x_price: float, t: float, ctx: ShorthandContext) -> float:
-    """P(price at ``t`` is >= ``x_price`` and the stop never fired by ``t``).
-
-    Survivor tail minus the reflection image weighted by ``z_star``.
-    """
-    if not x_price > 0:
-        raise DomainError(f"x_price must be > 0 (got {x_price})")
-    if not t > 0:
-        raise DomainError(f"t must be > 0 (got {t})")
-    return _joint_survival_log(math.log(ctx.market.s0 / x_price), t, ctx)
-
-
 def _joint_survival_log(log_s0_over_x, t, ctx: ShorthandContext):
-    """``joint_survival`` of ``ln(s0/x_price)``; the one place the reflection law is written."""
+    """P(price at ``t`` is >= ``x_price`` and no stop by ``t``), given ``ln(s0/x_price)``.
+
+    Survivor tail minus the reflection image weighted by ``z_star``; the one
+    place the reflection law is written.
+    """
     log_image = log_s0_over_x - 2.0 * ctx.log_s0_over_star
     p = _phi_at_log(ctx, log_s0_over_x, t) - ctx.z_star * _phi_at_log(ctx, log_image, t)
     return _scalar_or_array(np.clip(p, 0.0, 1.0))
@@ -203,8 +194,8 @@ def _joint_survival_log(log_s0_over_x, t, ctx: ShorthandContext):
 def theta(x, t, ctx: ShorthandContext):
     """P(no stop by ``t`` and the no-stop gain at ``t`` is at least ``x``).
 
-    The survivor-branch tail of the gain law: ``joint_survival`` evaluated at
-    the price level whose gain equals ``x``.
+    The survivor-branch tail of the gain law: the joint survival of the
+    price level whose gain equals ``x``.
     """
     tr = ctx.trade
     x = np.asarray(x, dtype=float)
@@ -215,76 +206,69 @@ def theta(x, t, ctx: ShorthandContext):
     return _joint_survival_log(-_log_b(x, t, ctx), t, ctx)
 
 
-def _law_floor(ctx: ShorthandContext, t: float) -> float:
-    """Lowest gain at horizon ``t``: the k = 1 atom, else the level at and below which F is 0.
+def _band(ctx: ShorthandContext, t: float):
+    """Floor, band end and ``t_floor`` of the gains a stop can lock in by horizon ``t``.
 
-    It is the gain a stop locks in at ``t`` for k > 1 and at time 0 otherwise.
+    A stop at time s freezes the gain at ``g_star_t(s)``, which is monotone
+    in s, so the stopped gains fill the band between its values at 0 and
+    ``t``.  The floor is the lower end, locked in by a stop at ``t_floor``;
+    F is 0 below it.  At k = 1 both ends are the atom ``g_star``.
     """
-    return g_star_t(ctx.trade, ctx.market, t if ctx.trade.k > 1 else 0.0)
+    times = np.array([0.0, t])
+    ends = g_star_t(ctx.trade, ctx.market, times)
+    order = np.argsort(ends, kind="stable")
+    return float(ends[order[0]]), float(ends[order[1]]), float(times[order[0]])
 
 
 def _joint_parts(x, t: float, ctx: ShorthandContext):
-    """Branch codes and the stopped and unstopped parts of the law at levels ``x`` (k != 1).
+    """Branch codes and the stopped and unstopped parts of the law at levels ``x``.
 
-    ``floor`` at and below the floor; ``middle`` on the band of stopped gains,
-    which ends at the junction for k > 1 and at the level curve ``g_star_t(t)``
-    for k < 1; ``upper`` beyond it, where all the stopped mass is in.
-    Survivors lie above the level curve for k > 1 and at or above it for
-    k < 1.  Each part is clipped to [0, 1].
+    ``floor`` at and below the floor of :func:`_band`, ``upper`` from its
+    band end on, ``middle`` in between.  The stopped part is 0 below the
+    band, ``1 - omega(t)`` from its end on and, inside it, the stop
+    probability between ``t_floor`` and the time ``a_of_x`` at which a stop
+    locks in ``x``.  The unstopped part is ``omega(t) - theta(x)``, clipped
+    to [0, 1], above the level curve ``g_star_t(t)`` and 0 at and below it.
     """
-    tr = ctx.trade
-    regime = Regime.of(tr.k)
-    if regime is Regime.BUY_AND_HOLD:
-        raise RegimeError("the joint stopped/unstopped laws require k != 1")
     if not t > 0:
         raise DomainError(f"t must be > 0 (got {t})")
-    bold = regime is Regime.BOLD
     x = np.asarray(x, dtype=float)
-    floor = _law_floor(ctx, t)
-    band_end = g_star_t(tr, ctx.market, 0.0 if bold else t)  # the junction for k > 1
-    branch = np.where(x <= floor, _FLOOR, np.where(x < band_end, _MIDDLE, _UPPER))
+    floor, band_end, t_floor = _band(ctx, t)
+    branch = np.where(x >= band_end, _UPPER, np.where(x <= floor, _FLOOR, _MIDDLE))
     omega_t = omega(t, ctx)
 
-    # a stop at time a freezes the gain at x; levels off the band are
-    # replaced by band_end, which every formula accepts
+    stopped = np.where(branch == _UPPER, 1.0 - omega_t, 0.0)
     middle = branch == _MIDDLE
-    omega_a = omega(np.maximum(a_of_x(np.where(middle, x, band_end), ctx), 0.0), ctx)
-    band = omega_a - omega_t if bold else 1.0 - omega_a
-    stopped = np.clip(np.where(middle, band, 1.0 - omega_t), 0.0, 1.0)
-    stopped = np.where(branch == _FLOOR, 0.0, stopped)
+    if middle.any():
+        a = np.clip(a_of_x(x[middle], ctx), 0.0, t)
+        stopped[middle] = np.abs(omega(a, ctx) - omega(t_floor, ctx))
 
-    survives = branch != _FLOOR if bold else branch == _UPPER
-    tail = theta(np.where(survives, x, band_end), t, ctx)
-    unstopped = np.where(survives, np.clip(omega_t - tail, 0.0, 1.0), 0.0)
-    return branch, stopped, unstopped
+    unstopped = np.zeros(x.shape)
+    survives = x > g_star_t(ctx.trade, ctx.market, t)
+    unstopped[survives] = omega_t - theta(x[survives], t, ctx)
+    return branch, stopped, np.clip(unstopped, 0.0, 1.0)
 
 
 def joint_cdf_stopped(x, t: float, ctx: ShorthandContext):
-    """P(gain at ``t`` is <= ``x`` and the stop fired by ``t``), k != 1."""
+    """P(gain at ``t`` is <= ``x`` and the stop fired by ``t``), at every k."""
     return _scalar_or_array(_joint_parts(x, t, ctx)[1])
 
 
 def joint_cdf_unstopped(x, t: float, ctx: ShorthandContext):
-    """P(gain at ``t`` is <= ``x`` and the stop never fired by ``t``), k != 1."""
+    """P(gain at ``t`` is <= ``x`` and the stop never fired by ``t``), at every k."""
     return _scalar_or_array(_joint_parts(x, t, ctx)[2])
 
 
 def cdf_with_stop(q: CdfQuery, ctx: ShorthandContext) -> CdfValue:
-    """CDF of the stop-protected rule's gain at horizon ``q.t``.
+    """CDF of the stop-protected rule's gain at horizon ``q.t``, at every k.
 
-    Piecewise by regime.  ``k = 1`` (dispatched on exact equality): an atom at
-    the locked-in stop loss, then a reflected lognormal tail.  ``k > 1``: zero
-    at and below the stop level curve, a stopped band up to the junction, then
-    the survivor branch.  ``0 < k < 1``: zero at and below the hard floor, a
-    stopped band below the level curve, then the survivor branch.  For
-    ``k != 1`` the value is the sum of the two joint laws.
+    The sum of the two joint laws: zero at and below the floor, a band of
+    stopped gains between the values of ``g_star_t`` at 0 and ``q.t``, then
+    the survivor branch.  The band runs down to the level curve for
+    ``k > 1`` and up to it for ``k < 1``; at ``k = 1`` it shrinks to the atom
+    at the locked-in stop loss, above which the reflected lognormal tail
+    adds the survivors.
     """
-    if ctx.trade.k != 1:
-        branch, stopped, unstopped = _joint_parts(q.x, q.t, ctx)
-        p = np.clip(stopped + unstopped, 0.0, 1.0)
-    else:
-        x = np.asarray(q.x, dtype=float)
-        floor = _law_floor(ctx, q.t)
-        branch = np.where(x < floor, _FLOOR, _UPPER)
-        p = np.where(branch == _FLOOR, 0.0, 1.0 - theta(np.maximum(x, floor), q.t, ctx))
+    branch, stopped, unstopped = _joint_parts(q.x, q.t, ctx)
+    p = np.clip(stopped + unstopped, 0.0, 1.0)
     return CdfValue(_scalar_or_array(p), _BRANCH_NAMES[branch])

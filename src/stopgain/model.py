@@ -6,7 +6,6 @@ level.  Everything downstream (distribution functions, simulation, checks)
 builds on the gain expressions defined here.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -17,13 +16,11 @@ from .errors import DomainError, ParameterError, RegimeError
 __all__ = [
     "MarketParams",
     "TradeSpec",
-    "Regime",
     "z_star",
     "g_star",
     "g_star_t",
     "timid_floor",
     "gain",
-    "gain_no_stop",
     "check_survivability",
     "expected_gain_lower_bound",
 ]
@@ -113,22 +110,6 @@ def require_stop(tr: TradeSpec, m: MarketParams) -> float:
     return tr.s_star
 
 
-class Regime(enum.Enum):
-    """Qualitative behaviour class of the feedback gain ``k``."""
-
-    BUY_AND_HOLD = "buy-and-hold"
-    BOLD = "bold"
-    TIMID = "timid"
-
-    @classmethod
-    def of(cls, k: float) -> "Regime":
-        if not (np.isfinite(k) and k > 0):
-            raise ParameterError(f"k must be > 0 (got {k})")
-        if k == 1:
-            return cls.BUY_AND_HOLD
-        return cls.BOLD if k > 1 else cls.TIMID
-
-
 def z_star(m: MarketParams, tr: TradeSpec) -> float:
     """Reflection weight ``(s_star/s0)**(2*mu/sigma**2 - 1)``.
 
@@ -186,37 +167,9 @@ def timid_floor(tr: TradeSpec, m: MarketParams) -> float:
     No outcome, stopped or not, can fall at or below
     ``(u0/k) * ((s_star/s0)**k - 1)`` in this regime.
     """
-    if Regime.of(tr.k) is not Regime.TIMID:
+    if not tr.k < 1:
         raise RegimeError(f"timid_floor requires 0 < k < 1 (got k={tr.k})")
     return g_star_t(tr, m, 0.0)
-
-
-def gain_no_stop(tr: TradeSpec, m: MarketParams, s_t, t):
-    """Cumulative gain of the always-active rule given the price at time ``t``.
-
-    Parameters
-    ----------
-    tr, m : TradeSpec, MarketParams
-        Rule and market parameters.
-    s_t : float or ndarray
-        Price at time ``t``; must be positive.
-    t : float or ndarray
-        Elapsed time; must be >= 0.
-
-    Returns
-    -------
-    float or ndarray
-        (u0/k) ((s_t/s0)^k e^(sigma^2 (k - k^2) t/2) - 1), evaluated by
-        :func:`gain`.
-    """
-    s_t = np.asarray(s_t, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s_t <= 0):
-        raise DomainError("s_t must be > 0")
-    if np.any(t < 0):
-        raise DomainError("t must be >= 0")
-    out = gain(tr, m, np.log(s_t / m.s0), t)
-    return float(out) if out.ndim == 0 else out
 
 
 def check_survivability(tr: TradeSpec) -> bool:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cdf import CdfQuery, ShorthandContext, _law_floor, cdf_no_stop, cdf_with_stop
+from .cdf import CdfQuery, ShorthandContext, _band, cdf_no_stop, cdf_with_stop
 from .errors import EmptySampleError, ParameterError
 from .model import MarketParams, TradeSpec, check_survivability, expected_gain_lower_bound
 from .simulate import BatchResult, PathGrid, run_batch
@@ -122,7 +122,7 @@ def _quantile(ctx: ShorthandContext, t_end: float, q: float) -> float:
     in ``(span/2, span]``.  The levels of all 401 ``e`` are tested in one
     call, and a second call picks the level.
     """
-    floor = _law_floor(ctx, t_end)
+    floor = _band(ctx, t_end)[0]
     start = max(1.0, abs(floor)) * ctx.trade.u0 / ctx.trade.k
     exps = np.arange(-200, 201)
     x = floor + np.ldexp(start, exps)
@@ -141,13 +141,13 @@ def _quantile(ctx: ShorthandContext, t_end: float, q: float) -> float:
 
 
 def comparison_grid(ctx: ShorthandContext, t_end: float) -> np.ndarray:
-    """Gain levels from just under the regime floor to the 99.9% quantile, on a lattice.
+    """Gain levels from just under the law's floor to the 99.9% quantile, on a lattice.
 
     :data:`COMPARISON_POINTS` evenly spaced levels, and the exact floor value
     as one more abscissa, so atoms sitting on it show up in datasets and
     comparisons.
     """
-    floor = _law_floor(ctx, t_end)
+    floor = _band(ctx, t_end)[0]
     lo = floor - 0.05 * ctx.trade.u0 / ctx.trade.k
     hi = _quantile(ctx, t_end, 0.999)
     return np.union1d(np.linspace(lo, hi, COMPARISON_POINTS), [floor])

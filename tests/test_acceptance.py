@@ -73,7 +73,7 @@ def test_criterion_04_first_passage_gate():
 
 def test_criterion_05_decomposition_identity():
     """Stopped plus unstopped joint laws rebuild the total law to 1e-12."""
-    for k in (2.0, 0.5):
+    for k in (1.0, 2.0, 0.5):
         ctx = demo_ctx(k)
         for t in (0.25, 1.0, 4.0):
             grid = comparison_grid(ctx, t)

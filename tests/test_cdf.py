@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reference_values import CLOSED_FORM, MC_ORACLE, PHI_TABLE
 from stopgain.cdf import (
@@ -19,6 +21,7 @@ from stopgain.cdf import (
     CdfQuery,
     CdfValue,
     ShorthandContext,
+    _joint_survival_log,
     _log_b,
     _phi_at_log,
     a_of_x,
@@ -26,7 +29,6 @@ from stopgain.cdf import (
     cdf_with_stop,
     joint_cdf_stopped,
     joint_cdf_unstopped,
-    joint_survival,
     omega,
     std_normal_cdf,
     stopping_time_cdf,
@@ -195,31 +197,36 @@ class TestStoppingTimeLaw:
         )
 
 
+def _survival_at_price(x_price, t, ctx):
+    return _joint_survival_log(math.log(ctx.market.s0 / x_price), t, ctx)
+
+
 class TestJointSurvival:
     def test_golden_values(self):
-        assert joint_survival(1.0, 1.0, CTX1) == pytest.approx(
+        assert _survival_at_price(1.0, 1.0, CTX1) == pytest.approx(
             CLOSED_FORM["joint_survival_x1_t1"], rel=1e-13
         )
-        assert joint_survival(0.8, 1.0, CTX1) == pytest.approx(
+        assert _survival_at_price(0.8, 1.0, CTX1) == pytest.approx(
             CLOSED_FORM["joint_survival_x08_t1"], rel=1e-13
         )
 
     def test_domain(self):
+        # the public route to the joint survival is theta, at a gain level
         with pytest.raises(DomainError):
-            joint_survival(0.0, 1.0, CTX1)
+            theta(-1.0, 1.0, CTX1)  # at -u0/k, a price of zero
         with pytest.raises(DomainError):
-            joint_survival(1.0, 0.0, CTX1)
+            theta(0.0, 0.0, CTX1)
 
     def test_below_barrier_consistency(self):
-        # asking for survival at a level under the barrier just drops the
-        # price condition: the stop not firing already implies price > s_star
-        assert joint_survival(0.5, 1.0, CTX1) == pytest.approx(omega(1.0, CTX1), rel=1e-12)
+        # asking for survival at the barrier just drops the price condition:
+        # the stop not firing already implies price > s_star
+        assert theta(g_star(CTX1.trade, DEMO), 1.0, CTX1) == pytest.approx(omega(1.0, CTX1), rel=1e-12)
 
     def test_mc_cross_check(self):
-        assert joint_survival(1.0, 1.0, CTX1) == pytest.approx(
+        assert _survival_at_price(1.0, 1.0, CTX1) == pytest.approx(
             MC_ORACLE["p_price_ge_1_no_stop"], abs=1.6e-3
         )
-        assert joint_survival(0.8, 1.0, CTX1) == pytest.approx(
+        assert _survival_at_price(0.8, 1.0, CTX1) == pytest.approx(
             MC_ORACLE["p_price_ge_08_no_stop"], abs=1.6e-3
         )
 
@@ -375,7 +382,7 @@ class TestTimidLaw:
 
 
 class TestJointDecomposition:
-    @pytest.mark.parametrize("k", [2.0, 0.5])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
     def test_stopped_plus_unstopped_is_total(self, k, t):
         ctx = ctx_for(k)
@@ -389,7 +396,7 @@ class TestJointDecomposition:
     def test_unstopped_tail_matches_omega(self):
         # far enough right every surviving path is counted (x must outrun
         # the k=2 law's quadratic growth in the price, hence the large level)
-        for k in (2.0, 0.5):
+        for k in (1.0, 2.0, 0.5):
             ctx = ctx_for(k)
             assert joint_cdf_unstopped(1e6, 1.0, ctx) == pytest.approx(
                 omega(1.0, ctx), abs=1e-12
@@ -398,11 +405,12 @@ class TestJointDecomposition:
                 stopping_time_cdf(1.0, ctx), rel=1e-12
             )
 
-    def test_k1_rejected(self):
-        with pytest.raises(RegimeError):
-            joint_cdf_stopped(0.0, 1.0, CTX1)
-        with pytest.raises(RegimeError):
-            joint_cdf_unstopped(0.0, 1.0, CTX1)
+    def test_k1_stopped_part_is_the_atom(self):
+        # at k = 1 every stop locks in g_star, so the stopped part jumps there
+        # to the whole stop probability
+        for t in (0.1, 1.0, 10.0):
+            at = joint_cdf_stopped(g_star(CTX1.trade, DEMO), t, CTX1)
+            assert abs(at - stopping_time_cdf(t, CTX1)) <= 1e-12
 
     def test_unstopped_mc_cross_check(self):
         assert joint_cdf_unstopped(0.0, 1.0, CTX2) == pytest.approx(
@@ -449,6 +457,45 @@ class TestLimitsAndStress:
             assert cdf_with_stop(CdfQuery(-0.01, 1e-9), ctx).p < 1e-10
             assert cdf_with_stop(CdfQuery(0.01, 1e-9), ctx).p > 1.0 - 1e-10
 
+    @pytest.mark.parametrize("s_star, k", [(0.1, 17.0), (0.5, 54.0), (0.9, 356.0)])
+    def test_band_rounded_onto_floor_is_a_step(self, s_star, k):
+        # k ln(s0/s*) passes ln 2**54: every stopped gain rounds onto -u0/k,
+        # and the law steps there within one ulp
+        ctx = ctx_for(k, s_star=s_star)
+        lo = -1.0 / k
+        around = lo + np.spacing(lo) * np.arange(-4, 5)
+        xs = np.union1d(around, np.linspace(lo - 0.05 / k, 5.0, 400))
+        for t in (0.25, 1.0, 4.0):
+            p = cdf_with_stop(CdfQuery(xs, t), ctx).p
+            assert ((p >= 0.0) & (p <= 1.0)).all()
+            assert (np.diff(p) >= 0.0).all()
+            assert (p[xs <= np.nextafter(lo, -np.inf)] == 0.0).all()
+
+    @given(
+        mu=st.floats(-1.0, 1.0),
+        sigma=st.floats(0.5, 1.5),
+        s_star=st.floats(0.01, 0.99),
+        k=st.floats(math.log(0.05), math.log(2000.0)).map(math.exp),
+        t=st.floats(math.log(1e-3), math.log(10.0)).map(math.exp),
+    )
+    def test_any_valid_parameters_give_a_law(self, mu, sigma, s_star, k, t):
+        # on the band's edges and around them: a probability, non-decreasing
+        # up to one-ulp dips inside the band, and the sum of the joint laws
+        ctx = ctx_for(k, s_star=s_star, market=MarketParams(mu=mu, sigma=sigma, s0=1.0))
+        ends = g_star_t(ctx.trade, ctx.market, np.array([0.0, t]))
+        xs = np.union1d(
+            np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)]),
+            np.concatenate([
+                np.linspace(ends.min(), ends.max(), 64),
+                np.linspace(-1.05 / k, ends.max() + 4.0 / k, 128),
+            ]),
+        )
+        p = cdf_with_stop(CdfQuery(xs, t), ctx).p
+        assert ((p >= 0.0) & (p <= 1.0)).all()
+        assert (np.diff(p) >= -1e-13).all()
+        parts = joint_cdf_stopped(xs, t, ctx) + joint_cdf_unstopped(xs, t, ctx)
+        assert np.abs(parts - p).max() <= 1e-12
+
 
 def _boundary_points(ctx, t):
     """Every level a branch test compares against, with both float neighbours."""
@@ -476,9 +523,8 @@ class TestArrayEvaluation:
             scalar = [law(CdfQuery(float(x), t), ctx) for x in xs]
             assert np.array_equal(value.p, [v.p for v in scalar])
             assert list(value.branch) == [v.branch for v in scalar]
-        if k != 1:
-            for part in (joint_cdf_stopped, joint_cdf_unstopped):
-                assert np.array_equal(part(xs, t, ctx), [part(float(x), t, ctx) for x in xs])
+        for part in (joint_cdf_stopped, joint_cdf_unstopped):
+            assert np.array_equal(part(xs, t, ctx), [part(float(x), t, ctx) for x in xs])
 
     @pytest.mark.parametrize("ctx", [CTX1, CTX2, CTX05], ids=["k1", "k2", "k0.5"])
     def test_zero_dimensional_query_gives_float_and_str(self, ctx):
@@ -489,8 +535,15 @@ class TestArrayEvaluation:
 
 
 class TestMpmathOracle:
-    @pytest.mark.parametrize("k", ["20", "50", "53"])
-    def test_large_k_matches_50_digit_law(self, k):
+    @pytest.mark.parametrize("k, sigma, s_star, ts", [
+        pytest.param("20", "1", "0.5", (0.25, 1.0, 4.0), id="20"),
+        pytest.param("50", "1", "0.5", (0.25, 1.0, 4.0), id="50"),
+        pytest.param("53", "1", "0.5", (0.25, 1.0, 4.0), id="53"),
+        # a quiet market with a near stop: the band rounds onto -u0/k at k = 1500
+        pytest.param("200", "0.1", "0.9", (0.01,), id="200-sigma0.1-sstar0.9"),
+        pytest.param("1500", "0.1", "0.9", (5e-4,), id="1500-sigma0.1-sstar0.9"),
+    ])
+    def test_large_k_matches_50_digit_law(self, k, sigma, s_star, ts):
         # the stopped band ends 2**-k u0/k above -u0/k, and near its floor one
         # ulp of x moves F by more than 1e-12 at k = 20; so the comparison
         # starts 2**-26 u0/k above the floor, while range and order are
@@ -498,10 +551,11 @@ class TestMpmathOracle:
         mp = pytest.importorskip("mpmath")
         import make_reference_values as ref
 
-        law = ref.Closed(ref.MU, ref.SIGMA, ref.S0, ref.SSTAR, ref.U0, k)
-        ctx = ctx_for(float(k))
-        for t in (0.25, 1.0, 4.0):
-            floor = g_star_t(ctx.trade, DEMO, t)
+        law = ref.Closed(ref.MU, sigma, ref.S0, s_star, ref.U0, k)
+        market = MarketParams(mu=float(ref.MU), sigma=float(sigma), s0=float(ref.S0))
+        ctx = ctx_for(float(k), s_star=float(s_star), market=market)
+        for t in ts:
+            floor = g_star_t(ctx.trade, market, t)
             near = floor + abs(np.spacing(floor)) * np.arange(1, 9)
             far = floor + 2.0 ** np.arange(-26, 5) / float(k)
             p = cdf_with_stop(CdfQuery(np.concatenate([near, far]), t), ctx).p

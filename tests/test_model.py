@@ -1,4 +1,4 @@
-"""Parameter types, regime dispatch and the closed-form gain expressions."""
+"""Parameter types and the closed-form gain expressions."""
 
 import math
 
@@ -9,14 +9,12 @@ from reference_values import CLOSED_FORM
 from stopgain.errors import DomainError, ParameterError, RegimeError
 from stopgain.model import (
     MarketParams,
-    Regime,
     TradeSpec,
     check_survivability,
     expected_gain_lower_bound,
     g_star,
     g_star_t,
     gain,
-    gain_no_stop,
     require_stop,
     timid_floor,
     z_star,
@@ -78,22 +76,6 @@ class TestTradeSpec:
             require_stop(trade(1.0, s_star=1.0), DEMO)  # not below s0
         with pytest.raises(ParameterError):
             require_stop(trade(1.0, s_star=2.0), DEMO)
-
-
-class TestRegime:
-    def test_dispatch_is_exact_at_one(self):
-        assert Regime.of(1.0) is Regime.BUY_AND_HOLD
-        assert Regime.of(1.0 + 1e-12) is Regime.BOLD
-        assert Regime.of(1.0 - 1e-12) is Regime.TIMID
-
-    def test_classes(self):
-        assert Regime.of(2.0) is Regime.BOLD
-        assert Regime.of(0.5) is Regime.TIMID
-
-    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_nonpositive(self, k):
-        with pytest.raises(ParameterError):
-            Regime.of(k)
 
 
 class TestStopGainLevels:
@@ -161,37 +143,36 @@ class TestGainMapAccuracy:
         ts = np.array([0.0, 0.25, 1.0, 4.0])
         log_bar = math.log(0.5)
         assert np.array_equal(g_star_t(tr, DEMO, ts), gain(tr, DEMO, log_bar, ts))
-        s = np.array([0.3, 0.5, 1.0, 2.5])
-        assert np.array_equal(gain_no_stop(tr, DEMO, s, 1.0), gain(tr, DEMO, np.log(s), 1.0))
 
 
 class TestGainExpressions:
     def test_zero_at_start(self):
-        assert gain_no_stop(trade(1.0), DEMO, 1.0, 0.0) == 0.0
-        assert gain_no_stop(trade(2.0), DEMO, 1.0, 0.0) == 0.0
+        assert gain(trade(1.0), DEMO, 0.0, 0.0) == 0.0
+        assert gain(trade(2.0), DEMO, 0.0, 0.0) == 0.0
 
     def test_k1_is_price_relative(self):
         # the time-dependent factor vanishes at k = 1
         for s in (0.4, 1.0, 2.7):
             for t in (0.1, 1.0, 9.0):
-                assert gain_no_stop(trade(1.0), DEMO, s, t) == pytest.approx(s - 1.0, rel=1e-15)
+                assert gain(trade(1.0), DEMO, math.log(s), t) == pytest.approx(s - 1.0, rel=1e-15)
 
     def test_k2_hand_value(self):
         # (1/2) * ((1.2)^2 * exp(-1) - 1)
         expected = 0.5 * (1.44 * math.exp(-1.0) - 1.0)
-        assert gain_no_stop(trade(2.0), DEMO, 1.2, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert gain(trade(2.0), DEMO, math.log(1.2), 1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_vectorized(self):
         s = np.array([0.5, 1.0, 2.0])
-        out = gain_no_stop(trade(2.0), DEMO, s, 1.0)
+        out = gain(trade(2.0), DEMO, np.log(s), 1.0)
         assert out.shape == (3,)
         assert out[1] == pytest.approx(0.5 * (math.exp(-1.0) - 1.0), rel=1e-14)
 
     def test_domain_errors(self):
+        # a price of zero reaches the -u0/k limit; a negative time is refused
+        # by the checked wrapper
+        assert gain(trade(2.0), DEMO, -math.inf, 1.0) == -0.5
         with pytest.raises(DomainError):
-            gain_no_stop(trade(1.0), DEMO, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            gain_no_stop(trade(1.0), DEMO, 1.0, -1.0)
+            g_star_t(trade(1.0), DEMO, -1.0)
 
     def test_stopped_matches_level_curve_at_barrier(self):
         # the gain of a price frozen at the stop level is the level curve

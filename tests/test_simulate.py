@@ -18,7 +18,7 @@ import kernel_reference as reference
 from stopgain import simulate
 from stopgain.cdf import ShorthandContext, stopping_time_cdf
 from stopgain.errors import ParameterError, ResourceError
-from stopgain.model import MarketParams, TradeSpec, g_star, g_star_t, gain_no_stop
+from stopgain.model import MarketParams, TradeSpec, g_star, g_star_t, gain
 from stopgain.simulate import (
     _BLOCK_CELLS,
     _BRIDGE_CUT,
@@ -404,7 +404,7 @@ class TestGainTrajectory:
         p = path_trajectory(DEMO, tr, grid, 9, 4, bridge=False)
         assert p.stop_index is None
         for i in range(len(p.times)):
-            expected = gain_no_stop(tr, DEMO, p.prices[i], p.times[i])
+            expected = gain(tr, DEMO, np.log(p.prices[i] / DEMO.s0), p.times[i])
             assert p.g[i] == pytest.approx(expected, rel=1e-12)
             assert p.u[i] == pytest.approx(1.0 + 2.0 * expected, rel=1e-12)
             assert p.v[i] == pytest.approx(0.5 + expected, rel=1e-12)

@@ -8,10 +8,10 @@ import pytest
 
 from stopgain import verify
 from stopgain.cdf import (
-    CdfQuery, CdfValue, ShorthandContext, _law_floor, cdf_with_stop, stopping_time_cdf,
+    CdfQuery, CdfValue, ShorthandContext, _band, cdf_with_stop, stopping_time_cdf,
 )
 from stopgain.errors import EmptySampleError, ParameterError
-from stopgain.model import MarketParams, TradeSpec, g_star_t, gain_no_stop, timid_floor
+from stopgain.model import MarketParams, TradeSpec, g_star_t, timid_floor
 from stopgain.simulate import PathGrid, path_trajectory, run_batch
 from stopgain.verify import (
     FIGURE_PARAMS,
@@ -115,7 +115,7 @@ class TestCompare:
 
 def _quantile_reference(ctx, t_end, q):
     """The scalar span search the array search replaced: one law call per doubling or halving."""
-    floor = _law_floor(ctx, t_end)
+    floor = _band(ctx, t_end)[0]
     span = max(1.0, abs(floor)) * ctx.trade.u0 / ctx.trade.k
     for _ in range(200):
         if cdf_with_stop(CdfQuery(floor + span, t_end), ctx).p >= q:
@@ -156,7 +156,7 @@ class TestComparisonGrid:
         # the span above the floor is a power of two times max(1, |floor|) u0/k
         # with 8 significant bits: hi/2 (1 + j/128) for j = 1..128
         ctx = ctx_for(k)
-        floor = _law_floor(ctx, t)
+        floor = _band(ctx, t)[0]
         top = float(comparison_grid(ctx, t)[-1])
         assert top > floor
         unit = max(1.0, abs(floor)) / k
