@@ -27,6 +27,10 @@ from .errors import DomainError, ParameterError, RegimeError
 from .model import MarketParams, TradeSpec, g_star_t, require_stop, z_star
 
 __all__ = [
+    "BRANCH_FLOOR",
+    "BRANCH_MIDDLE",
+    "BRANCH_UPPER",
+    "BRANCH_NO_STOP",
     "ShorthandContext",
     "CdfQuery",
     "CdfValue",
@@ -70,20 +74,25 @@ class ShorthandContext:
     """Validated (market, trade) pair with the derived quantities cached.
 
     ``z_star`` is the reflection weight, recomputable bit-for-bit from the
-    source parameters.  A context without a stop order (``s_star is None``)
-    supports only the no-stop operations.
+    source parameters, and ``log_s0_over_star`` is ln(s0/s_star), which must
+    be finite (:class:`DomainError`).  A context without a stop order
+    (``s_star is None``) supports only the no-stop operations.
     """
 
     market: MarketParams
     trade: TradeSpec
     z_star: float = field(init=False)
+    _log_s0_over_star: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.trade.s_star is not None:
-            require_stop(self.trade, self.market)
-            object.__setattr__(self, "z_star", z_star(self.market, self.trade))
-        else:
-            object.__setattr__(self, "z_star", math.nan)
+        weight = log_ratio = math.nan
+        if self.has_stop:
+            log_ratio = math.log(self.market.s0 / require_stop(self.trade, self.market))
+            if not math.isfinite(log_ratio):
+                raise DomainError(f"ln(s0/s_star) overflows (s0={self.market.s0}, s_star={self.trade.s_star})")
+            weight = z_star(self.market, self.trade)
+        object.__setattr__(self, "z_star", weight)
+        object.__setattr__(self, "_log_s0_over_star", log_ratio)
 
     @property
     def has_stop(self) -> bool:
@@ -91,7 +100,9 @@ class ShorthandContext:
 
     @property
     def log_s0_over_star(self) -> float:
-        return math.log(self.market.s0 / require_stop(self.trade, self.market))
+        if not self.has_stop:
+            raise ParameterError("a context without a stop order has no ln(s0/s_star)")
+        return self._log_s0_over_star
 
 
 @dataclass(frozen=True)

@@ -184,9 +184,8 @@ def _build_market(args) -> MarketParams:
 
 
 def _build_trade(args) -> TradeSpec:
-    v0 = args.u0 / args.k if args.v0 is None else args.v0
     s_star = None if args.no_stop else args.sstar
-    return TradeSpec(u0=args.u0, k=args.k, v0=v0, s_star=s_star)
+    return TradeSpec(u0=args.u0, k=args.k, v0=args.v0, s_star=s_star)
 
 
 def _resolved_config(args, tr: TradeSpec, grid: PathGrid) -> dict:
@@ -197,12 +196,6 @@ def _resolved_config(args, tr: TradeSpec, grid: PathGrid) -> dict:
         "t": args.t, "paths": args.paths, "steps": grid.n_steps, "seed": args.seed,
         "bridge": args.bridge, "workers": args.workers,
     }
-
-
-def _grid_from(args) -> PathGrid:
-    if args.steps is None:
-        return PathGrid.default(args.t)
-    return PathGrid(args.t, args.steps)
 
 
 def _jsonable(obj):
@@ -293,7 +286,7 @@ def cmd_stoptime(args) -> int:
 def cmd_simulate(args) -> int:
     m = _build_market(args)
     tr = _build_trade(args)
-    grid = _grid_from(args)
+    grid = PathGrid(args.t, args.steps)
     _check_batch_args(m, tr, grid, args.paths, args.seed, args.workers)  # before --out is touched
     with _open_out(args.out) as f:
         f.write("path_index,t_star,terminal_g\n")
@@ -307,7 +300,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     m = _build_market(args)
     tr = _build_trade(args)
-    grid = _grid_from(args)
+    grid = PathGrid(args.t, args.steps)
     report = {"config": _resolved_config(args, tr, grid), "gate": args.gate}
     # a bad request or --out fails before any path is drawn, and leaves --out as it was
     _check_batch_args(m, tr, grid, args.paths, args.seed, args.workers)

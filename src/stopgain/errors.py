@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "StopgainError",
+    "ParameterError",
+    "RegimeError",
+    "DomainError",
+    "ResourceError",
+    "EmptySampleError",
+]
+
 
 class StopgainError(Exception):
     """Base class for all package-specific errors."""

@@ -75,17 +75,18 @@ class TradeSpec:
     k : float
         Feedback gain applied to the running profit-or-loss; positive, with a
         finite, nonzero square (sigma**2 and k**2 enter every law).
-    v0 : float
-        Initial account value in currency; must be positive.
+    v0 : float or None
+        Initial account value in currency; must be positive.  ``None`` (the
+        default) sets it to ``u0 / k``, the least value with ``u0 <= k * v0``.
     s_star : float or None
-        Stop price in currency.  ``None`` disables the stop order entirely.
-        When present it must be positive and below the paired market's ``s0``
-        (checked wherever market and trade meet).
+        Stop price in currency.  ``None`` (the default) disables the stop
+        order entirely.  When present it must be positive and below the
+        paired market's ``s0`` (checked wherever market and trade meet).
     """
 
     u0: float
     k: float
-    v0: float
+    v0: float | None = None
     s_star: float | None = None
 
     def __post_init__(self):
@@ -93,6 +94,8 @@ class TradeSpec:
             raise ParameterError(f"u0 must be > 0 (got {self.u0})")
         if not _square_is_positive_finite(self.k):
             raise ParameterError(f"k must be > 0 with a finite, nonzero square (got {self.k})")
+        if self.v0 is None:
+            object.__setattr__(self, "v0", self.u0 / self.k)
         if not (np.isfinite(self.v0) and self.v0 > 0):
             raise ParameterError(f"v0 must be > 0 (got {self.v0})")
         if self.s_star is not None and not (np.isfinite(self.s_star) and self.s_star > 0):
@@ -100,13 +103,15 @@ class TradeSpec:
 
 
 def require_stop(tr: TradeSpec, m: MarketParams) -> float:
-    """Return the stop price, enforcing ``0 < s_star < s0`` for the pair."""
+    """Return the stop price, enforcing ``0 < s_star < s0`` and ``s_star/s0 > 0`` for the pair."""
     if tr.s_star is None:
         raise ParameterError("operation requires a stop order but s_star is None")
     if not tr.s_star < m.s0:
         raise ParameterError(
             f"s_star must satisfy 0 < s_star < s0 (got s_star={tr.s_star}, s0={m.s0})"
         )
+    if tr.s_star / m.s0 == 0:
+        raise ParameterError(f"s_star/s0 rounds to 0, which has no log (got s_star={tr.s_star}, s0={m.s0})")
     return tr.s_star
 
 

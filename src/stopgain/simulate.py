@@ -46,21 +46,24 @@ _U_FLOOR = 2.0**-54
 
 @dataclass(frozen=True)
 class PathGrid:
-    """Uniform time grid: ``n_steps`` steps of size ``t_end / n_steps``."""
+    """Uniform time grid: ``n_steps`` steps of size ``t_end / n_steps``.
+
+    ``n_steps=None`` (the default) gives ``max(1, ceil(DEFAULT_STEPS_PER_UNIT_TIME * t_end))``.
+    """
 
     t_end: float
-    n_steps: int
+    n_steps: int | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end > 0):
             raise ParameterError(f"t_end must be > 0 (got {self.t_end})")
+        if self.n_steps is None:
+            steps = DEFAULT_STEPS_PER_UNIT_TIME * self.t_end
+            if not math.isfinite(steps):
+                raise ParameterError(f"t_end is too long for the default grid (got {self.t_end})")
+            object.__setattr__(self, "n_steps", max(1, math.ceil(steps)))
         if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
             raise ParameterError(f"n_steps must be an integer >= 1 (got {self.n_steps})")
-
-    @classmethod
-    def default(cls, t_end: float) -> "PathGrid":
-        """Grid with :data:`DEFAULT_STEPS_PER_UNIT_TIME` steps per unit time."""
-        return cls(t_end, max(1, math.ceil(DEFAULT_STEPS_PER_UNIT_TIME * t_end)))
 
     @property
     def dt(self) -> float:

@@ -179,7 +179,7 @@ def replicate(
         v0=v0, n_workers=n_workers,
     )
     m = MarketParams(mu=mu, sigma=sigma, s0=s0)
-    tr = TradeSpec(u0=u0, k=k, v0=u0 / k if v0 is None else v0, s_star=s_star)
+    tr = TradeSpec(u0=u0, k=k, v0=v0, s_star=s_star)
     ctx = ShorthandContext(m, tr)
     grid = PathGrid(t_end, n_steps)
     batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
@@ -215,8 +215,8 @@ def _figure_case(which: int, n_steps: int | None):
         raise ParameterError(f"which must be one of {sorted(FIGURE_PARAMS)} (got {which})")
     p = FIGURE_PARAMS[which]
     m = MarketParams(mu=p["mu"], sigma=p["sigma"], s0=p["s0"])
-    tr = TradeSpec(u0=p["u0"], k=p["k"], v0=p["u0"] / p["k"], s_star=p["s_star"])
-    grid = PathGrid.default(p["t_end"]) if n_steps is None else PathGrid(p["t_end"], n_steps)
+    tr = TradeSpec(u0=p["u0"], k=p["k"], s_star=p["s_star"])
+    grid = PathGrid(p["t_end"], n_steps)
     return m, tr, grid
 
 
@@ -342,64 +342,53 @@ def property_report(
         raise ParameterError("property legs need a batch run with trajectory=True")
     ctx = ShorthandContext(m, tr)
     traj = batch.trajectory
-    terminal = batch.terminal_gain
-    legs = []
-    if check_survivability(tr):
-        legs.append(
-            LegResult(
-                "survivability",
-                "pass" if traj.survivability_violations == 0 else "fail",
-                {"min_account_value": traj.min_account_value,
-                 "violations": traj.survivability_violations},
-            )
-        )
-    else:
-        legs.append(
-            LegResult("survivability", "skipped", {"reason": f"u0={tr.u0} > k*v0={tr.k * tr.v0}"})
-        )
-    legs.append(
-        LegResult(
-            "long_only",
-            "pass" if traj.long_only_violations == 0 else "fail",
-            {
-                "min_active_investment": traj.min_active_investment,
-                # the simulator sets u = 0 from the stop on, so the stopped
-                # half of the property holds by construction
-                "max_abs_stopped_investment": 0.0,
-                "violations": traj.long_only_violations,
-            },
-        )
+    # both the account and the bound's derivation need u0 <= k v0
+    survives = check_survivability(tr)
+    unmet = f"u0={tr.u0} > k*v0={tr.k * tr.v0}"
+    legs = (
+        _count_leg(
+            "survivability", traj.survivability_violations,
+            min_account_value=traj.min_account_value,
+        ) if survives else LegResult("survivability", "skipped", {"reason": unmet}),
+        _count_leg(
+            "long_only", traj.long_only_violations,
+            min_active_investment=traj.min_active_investment,
+            # the simulator sets u = 0 from the stop on, so the stopped half
+            # of the property holds by construction
+            max_abs_stopped_investment=0.0,
+        ),
+        _count_leg("control_bound", traj.control_bound_violations, max_excess=traj.max_bound_excess),
+        _lower_bound_leg(batch.terminal_gain, ctx, grid.t_end)
+        if survives else LegResult("lower_bound", "skipped", {"reason": unmet}),
     )
-    legs.append(
-        LegResult(
-            "control_bound",
-            "pass" if traj.control_bound_violations == 0 else "fail",
-            {"max_excess": traj.max_bound_excess, "violations": traj.control_bound_violations},
-        )
-    )
-
-    if check_survivability(tr):
-        mean_g = float(terminal.mean())
-        se = float(terminal.std(ddof=1) / math.sqrt(len(terminal))) if len(terminal) > 1 else 0.0
-        bound_detail = {"mean_gain": mean_g, "standard_error": se, "cutoffs": {}}
-        bound_ok = True
-        law = cdf_with_stop if ctx.has_stop else cdf_no_stop
-        for label, c in (("half_v0", tr.v0 / 2), ("v0", tr.v0), ("twice_v0", 2 * tr.v0)):
-            f_at = law(CdfQuery(c - tr.v0, grid.t_end), ctx).p
-            bound = expected_gain_lower_bound(c, tr.v0, f_at)
-            ok = mean_g >= bound - 3.0 * se
-            bound_ok &= ok
-            bound_detail["cutoffs"][label] = {"c": c, "bound": bound, "ok": ok}
-        legs.append(LegResult("lower_bound", "pass" if bound_ok else "fail", bound_detail))
-    else:
-        # the bound's derivation needs the account to stay nonnegative
-        legs.append(
-            LegResult("lower_bound", "skipped", {"reason": f"u0={tr.u0} > k*v0={tr.k * tr.v0}"})
-        )
 
     metadata = dict(
         mu=m.mu, sigma=m.sigma, s0=m.s0, s_star=tr.s_star, u0=tr.u0, k=tr.k, v0=tr.v0,
-        t_end=grid.t_end, n_steps=grid.n_steps, n_paths=len(terminal),
+        t_end=grid.t_end, n_steps=grid.n_steps, n_paths=len(batch.terminal_gain),
         master_seed=int(master_seed), bridge=bridge,
     )
-    return PropertyReport(legs=tuple(legs), metadata=metadata)
+    return PropertyReport(legs=legs, metadata=metadata)
+
+
+def _leg(name: str, passed: bool, detail: dict) -> LegResult:
+    """A leg that either passed or failed; every such leg of a report is built here."""
+    return LegResult(name, "pass" if passed else "fail", detail)
+
+
+def _count_leg(name: str, violations: int, **detail) -> LegResult:
+    """A leg that fails on any violation, with the count as the detail's ``violations``."""
+    return _leg(name, violations == 0, {**detail, "violations": violations})
+
+
+def _lower_bound_leg(terminal: np.ndarray, ctx: ShorthandContext, t_end: float) -> LegResult:
+    """The ``lower_bound`` leg: the mean gain against the bound at each cutoff, within 3 SE."""
+    v0 = ctx.trade.v0
+    mean_g = float(terminal.mean())
+    se = float(terminal.std(ddof=1) / math.sqrt(len(terminal))) if len(terminal) > 1 else 0.0
+    law = cdf_with_stop if ctx.has_stop else cdf_no_stop
+    cutoffs = {}
+    for label, c in (("half_v0", v0 / 2), ("v0", v0), ("twice_v0", 2 * v0)):
+        bound = expected_gain_lower_bound(c, v0, law(CdfQuery(c - v0, t_end), ctx).p)
+        cutoffs[label] = {"c": c, "bound": bound, "ok": mean_g >= bound - 3.0 * se}
+    passed = all(cut["ok"] for cut in cutoffs.values())
+    return _leg("lower_bound", passed, {"mean_gain": mean_g, "standard_error": se, "cutoffs": cutoffs})

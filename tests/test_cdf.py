@@ -92,6 +92,14 @@ class TestContextAndQuery:
         with pytest.raises(ParameterError):
             _ = ctx.log_s0_over_star
 
+    def test_log_ratio_must_be_finite(self):
+        # s0/s_star overflows to inf although s_star/s0 = 1e-315 is a float
+        with pytest.raises(DomainError):
+            ShorthandContext(MarketParams(1.0, 1.0, 1e5), TradeSpec(1.0, 1.0, s_star=1e-310))
+        # s_star/s0 rounds to 0
+        with pytest.raises(ParameterError):
+            ShorthandContext(MarketParams(0.0, 1.0, 2.0), TradeSpec(1.0, 1.0, s_star=5e-324))
+
     def test_context_validates_pair(self):
         with pytest.raises(ParameterError):
             ctx_for(1.0, s_star=1.5)  # barrier above the start price

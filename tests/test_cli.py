@@ -163,8 +163,11 @@ class TestCurve:
 
 
 class TestFiniteFlagsAreUsageErrors:
-    # each of these used to end in an OverflowError or a ZeroDivisionError;
-    # "OUT" stands for a file that must be left as it was
+    # each of these used to end in an OverflowError, a ZeroDivisionError or a
+    # ValueError, or print nan: the first six from a float overflowing, the
+    # rest from a default (v0 = u0/k, 1024 steps per unit time) or a log of
+    # s_star/s0 computed before its inputs were checked; "OUT" stands for a
+    # file that must be left as it was
     @pytest.mark.parametrize("argv", [
         ["eval", "--sstar", "0.5", "--x", "0", "--sigma", "1e200"],
         ["stoptime", "--sstar", "0.5", "--sigma", "1e200"],
@@ -172,6 +175,18 @@ class TestFiniteFlagsAreUsageErrors:
         ["eval", "--sstar", "0.5", "--x", "0", "--k", "2", "--sigma", "1e-200"],
         ["eval", "--sstar", "0.5", "--x", "0", "--k", "1e300"],
         ["simulate", "--sstar", "0.5", "--sigma", "1e200", "--out", "OUT"],
+        *(pytest.param([*cmd, "--k", k], id=f"{cmd[0]}-k{k}")
+          for cmd in (["eval", "--sstar", "0.5", "--x", "0"],
+                      ["curve", "--sstar", "0.5", "--xmin", "-1", "--xmax", "1", "--out", "OUT"],
+                      ["stoptime", "--sstar", "0.5"],
+                      ["simulate", "--sstar", "0.5", "--paths", "2", "--out", "OUT"],
+                      ["verify", "--sstar", "0.5", "--paths", "2", "--out", "OUT"])
+          for k in ("0", "-0.0")),
+        *(pytest.param([cmd, "--sstar", "0.5", "--paths", "2", "--t", t, "--out", "OUT"], id=f"{cmd}-t{t}")
+          for cmd in ("simulate", "verify") for t in ("inf", "nan")),
+        pytest.param(["stoptime", "--sstar", "1e-310", "--s0", "1e5", "--mu", "1"], id="log-ratio-inf"),
+        pytest.param(["eval", "--sstar", "5e-324", "--s0", "2", "--mu", "1", "--x", "0"], id="ratio-0-eval"),
+        pytest.param(["stoptime", "--sstar", "5e-324", "--s0", "2", "--mu", "0"], id="ratio-0-stoptime"),
     ])
     def test_exit_2_without_traceback(self, capsys, tmp_path, argv):
         out = tmp_path / "f"

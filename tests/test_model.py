@@ -24,7 +24,7 @@ DEMO = MarketParams(mu=0.5, sigma=1.0, s0=1.0)
 
 
 def trade(k, s_star=0.5, u0=1.0, v0=None):
-    return TradeSpec(u0=u0, k=k, v0=u0 / k if v0 is None else v0, s_star=s_star)
+    return TradeSpec(u0=u0, k=k, v0=v0, s_star=s_star)
 
 
 class TestMarketParams:
@@ -63,6 +63,8 @@ class TestTradeSpec:
         dict(u0=1.0, k=math.nan, v0=1.0),
         dict(u0=1.0, k=1e300, v0=1.0),  # k**2 overflows
         dict(u0=1.0, k=1e-200, v0=1.0),  # k**2 underflows to 0
+        dict(u0=1.0, k=0.0),  # k is checked before the v0 = u0/k default
+        dict(u0=1.0, k=-0.0),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):
@@ -76,6 +78,17 @@ class TestTradeSpec:
             require_stop(trade(1.0, s_star=1.0), DEMO)  # not below s0
         with pytest.raises(ParameterError):
             require_stop(trade(1.0, s_star=2.0), DEMO)
+
+    def test_stop_ratio_that_rounds_to_zero(self):
+        with pytest.raises(ParameterError):
+            require_stop(trade(1.0, s_star=5e-324), MarketParams(mu=0.5, sigma=1.0, s0=2.0))
+        # a subnormal ratio still has a finite logarithm
+        assert require_stop(trade(1.0, s_star=1e-310), MarketParams(mu=0.5, sigma=1.0, s0=1e5)) == 1e-310
+
+    def test_v0_defaults_to_u0_over_k(self):
+        assert TradeSpec(2.0, 4.0).v0 == 0.5
+        assert TradeSpec(1.0, 3.0).v0 == 1.0 / 3.0
+        assert TradeSpec(1.0, 2.0, 7.0).v0 == 7.0
 
 
 class TestStopGainLevels:

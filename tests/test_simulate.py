@@ -44,10 +44,10 @@ FREE1 = TradeSpec(u0=1.0, k=1.0, v0=1.0)
 
 class TestPathGrid:
     def test_default_steps_per_unit_time(self):
-        assert PathGrid.default(1.0).n_steps == 1024
-        assert PathGrid.default(0.25).n_steps == 256
-        assert PathGrid.default(2.5).n_steps == 2560
-        assert PathGrid.default(1e-4).n_steps == 1  # never below one step
+        assert PathGrid(1.0).n_steps == 1024
+        assert PathGrid(0.25).n_steps == 256
+        assert PathGrid(2.5).n_steps == 2560
+        assert PathGrid(1e-4).n_steps == 1  # never below one step
 
     def test_times_and_dt(self):
         grid = PathGrid(2.0, 8)
@@ -61,6 +61,10 @@ class TestPathGrid:
         dict(t_end=-1.0, n_steps=4),
         dict(t_end=1.0, n_steps=0),
         dict(t_end=1.0, n_steps=1.5),
+        # t_end is checked before the default n_steps is derived from it
+        dict(t_end=math.inf),
+        dict(t_end=math.nan),
+        dict(t_end=1e306),  # the default step count overflows
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
