@@ -159,7 +159,9 @@ def _log_b(x, t, ctx: ShorthandContext):
     The log of ``((k x / u0 + 1) * exp(-sigma^2 (k - k^2) t / 2)) ** (1/k)``.
     """
     tr, m = ctx.trade, ctx.market
-    return (np.log1p(tr.k * x / tr.u0) - 0.5 * m.sigma**2 * (tr.k - tr.k**2) * t) / tr.k
+    with np.errstate(over="ignore"):  # a huge x over a tiny u0 is +inf, and log1p keeps it
+        kx_over_u0 = tr.k * x / tr.u0
+    return (np.log1p(kx_over_u0) - 0.5 * m.sigma**2 * (tr.k - tr.k**2) * t) / tr.k
 
 
 def cdf_no_stop(q: CdfQuery, ctx: ShorthandContext) -> CdfValue:
@@ -226,7 +228,8 @@ def _band(ctx: ShorthandContext, t: float):
     F is 0 below it.  At k = 1 both ends are the atom ``g_star``.
     """
     times = np.array([0.0, t])
-    ends = g_star_t(ctx.trade, ctx.market, times)
+    with np.errstate(over="ignore"):  # a late stop's gain may overflow to +inf
+        ends = g_star_t(ctx.trade, ctx.market, times)
     order = np.argsort(ends, kind="stable")
     return float(ends[order[0]]), float(ends[order[1]]), float(times[order[0]])
 
@@ -255,7 +258,7 @@ def _joint_parts(x, t: float, ctx: ShorthandContext):
         stopped[middle] = np.abs(omega(a, ctx) - omega(t_floor, ctx))
 
     unstopped = np.zeros(x.shape)
-    survives = x > g_star_t(ctx.trade, ctx.market, t)
+    survives = x > (floor if t_floor == t else band_end)  # above the level curve g_star_t(t)
     unstopped[survives] = omega_t - theta(x[survives], t, ctx)
     return branch, stopped, np.clip(unstopped, 0.0, 1.0)
 

@@ -168,7 +168,7 @@ def build_parser():
     p = sub.add_parser("figure", help="reproduce one of the three demo comparisons")
     p.add_argument("which", type=int, choices=(1, 2, 3))
     _config_arg(p)
-    _sim_args(p, default_paths=_verify.DEFAULT_FIGURE_PATHS, default_seed=13)
+    _sim_args(p, default_paths=_verify.DEFAULT_FIGURE_PATHS, default_seed=_verify.DEFAULT_FIGURE_SEED)
     p.add_argument("--gate", type=float, default=_verify.DEFAULT_SUP_GATE,
                    help="sup-distance threshold for both comparison legs")
     p.add_argument("--out-dir", default=None, metavar="DIR",
@@ -324,7 +324,7 @@ def cmd_verify(args) -> int:
         cdf_ok = True
         report["cdf_comparison"] = {"skipped": "no stop order; nothing to gate"}
 
-    props = _verify.property_report(batch, m, tr, grid, args.seed, args.bridge)
+    props = _verify.property_report(batch, ctx, args.t)
     report["properties"] = {
         leg.name: {"status": leg.status, **leg.detail} for leg in props.legs
     }
@@ -354,7 +354,7 @@ def cmd_figure(args) -> int:
     stop_ok = result.report.sup_distance <= args.gate
     free_ok = result.no_stop_report.sup_distance <= args.gate
     report = {
-        "config": dict(result.report.metadata, workers=args.workers, gate=args.gate),
+        "config": dict(result.config, workers=args.workers, gate=args.gate),
         "sup_distance": result.report.sup_distance,
         "sup_distance_no_stop": result.no_stop_report.sup_distance,
         "n_grid": len(result.report.grid),

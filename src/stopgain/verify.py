@@ -30,13 +30,12 @@ __all__ = [
     "comparison_grid",
     "law_report",
     "property_report",
-    "replicate",
     "reproduce_figure",
-    "property_suite",
 ]
 
 DEFAULT_SUP_GATE = 0.015  # calibrated for 50,000-path batches
 DEFAULT_FIGURE_PATHS = 50_000
+DEFAULT_FIGURE_SEED = 13
 COMPARISON_POINTS = 512  # evenly spaced levels of the comparison grid, before the floor joins them
 
 # the three demo parameter sets: one market, one feedback gain per regime
@@ -75,8 +74,7 @@ class ComparisonReport:
     """Empirical-vs-theory comparison on a fixed grid.
 
     ``residual[i] = empirical[i] - theory[i]`` and ``sup_distance`` is the
-    maximum absolute residual.  ``metadata`` holds everything needed to rerun
-    the comparison bit-for-bit.
+    maximum absolute residual.
     """
 
     grid: np.ndarray
@@ -85,12 +83,9 @@ class ComparisonReport:
     residual: np.ndarray
     sup_distance: float
     n_samples: int
-    metadata: dict
 
 
-def compare(
-    e: EmpiricalCdf, theory: Callable[[np.ndarray], np.ndarray], grid, metadata: dict | None = None
-) -> ComparisonReport:
+def compare(e: EmpiricalCdf, theory: Callable[[np.ndarray], np.ndarray], grid) -> ComparisonReport:
     """Evaluate both CDFs on ``grid`` and report residuals and sup-distance.
 
     ``theory`` is called once, on the whole grid; a scalar result is broadcast.
@@ -108,7 +103,6 @@ def compare(
         residual=residual,
         sup_distance=float(np.max(np.abs(residual))),
         n_samples=e.n,
-        metadata=dict(metadata or {}),
     )
 
 
@@ -153,42 +147,7 @@ def comparison_grid(ctx: ShorthandContext, t_end: float) -> np.ndarray:
     return np.union1d(np.linspace(lo, hi, COMPARISON_POINTS), [floor])
 
 
-def replicate(
-    mu: float,
-    sigma: float,
-    s0: float,
-    s_star: float,
-    u0: float,
-    k: float,
-    t_end: float,
-    n_paths: int,
-    n_steps: int,
-    master_seed: int,
-    bridge: bool = True,
-    v0: float | None = None,
-    n_workers: int = 1,
-) -> ComparisonReport:
-    """Simulate a batch and compare it against the stop-protected gain law.
-
-    The report's ``metadata`` echoes every argument, so
-    ``replicate(**report.metadata)`` reproduces the report bit-for-bit.
-    """
-    metadata = dict(
-        mu=mu, sigma=sigma, s0=s0, s_star=s_star, u0=u0, k=k, t_end=t_end,
-        n_paths=n_paths, n_steps=n_steps, master_seed=master_seed, bridge=bridge,
-        v0=v0, n_workers=n_workers,
-    )
-    m = MarketParams(mu=mu, sigma=sigma, s0=s0)
-    tr = TradeSpec(u0=u0, k=k, v0=v0, s_star=s_star)
-    ctx = ShorthandContext(m, tr)
-    grid = PathGrid(t_end, n_steps)
-    batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
-    return law_report(batch, ctx, t_end, metadata)
-
-
-def law_report(
-    batch: BatchResult, ctx: ShorthandContext, t_end: float, metadata: dict | None = None
-) -> ComparisonReport:
+def law_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> ComparisonReport:
     """Compare a batch's terminal gains with the stop-protected gain law.
 
     The law is evaluated on :func:`comparison_grid`; ``batch`` must come
@@ -196,14 +155,18 @@ def law_report(
     """
     e = empirical_cdf(batch.terminal_gain)
     xs = comparison_grid(ctx, t_end)
-    return compare(e, lambda x: cdf_with_stop(CdfQuery(x, t_end), ctx).p, xs, metadata)
+    return compare(e, lambda x: cdf_with_stop(CdfQuery(x, t_end), ctx).p, xs)
 
 
 @dataclass(frozen=True)
 class FigureResult:
-    """One reproduced comparison figure: dataset columns plus both reports."""
+    """One reproduced comparison figure: dataset columns plus both reports.
 
-    which: int
+    ``config`` describes the run: the figure, its market and trade, and the
+    batch that was simulated.
+    """
+
+    config: dict
     dataset: dict[str, np.ndarray]
     report: ComparisonReport
     no_stop_report: ComparisonReport
@@ -223,7 +186,7 @@ def _figure_case(which: int, n_steps: int | None):
 def reproduce_figure(
     which: int,
     n_paths: int = DEFAULT_FIGURE_PATHS,
-    master_seed: int = 13,
+    master_seed: int = DEFAULT_FIGURE_SEED,
     n_steps: int | None = None,
     n_workers: int = 1,
     bridge: bool = True,
@@ -240,18 +203,9 @@ def reproduce_figure(
     t_end = grid.t_end
 
     batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
-
-    metadata = dict(
-        which=which, mu=m.mu, sigma=m.sigma, s0=m.s0, s_star=tr.s_star,
-        u0=tr.u0, k=tr.k, t_end=t_end, n_paths=n_paths, n_steps=grid.n_steps,
-        master_seed=master_seed, bridge=bridge,
-    )
-    report = law_report(batch, ctx, t_end, metadata=metadata)
+    report = law_report(batch, ctx, t_end)
     no_stop_report = compare(
-        empirical_cdf(batch.free_gain),
-        lambda x: cdf_no_stop(CdfQuery(x, t_end), ctx).p,
-        report.grid,
-        {**metadata, "stop_enabled": False},
+        empirical_cdf(batch.free_gain), lambda x: cdf_no_stop(CdfQuery(x, t_end), ctx).p, report.grid
     )
     dataset = {
         "x": report.grid,
@@ -260,7 +214,12 @@ def reproduce_figure(
         "F0_empirical": no_stop_report.empirical,
         "F_empirical": report.empirical,
     }
-    return FigureResult(which=which, dataset=dataset, report=report, no_stop_report=no_stop_report)
+    config = dict(
+        which=which, mu=m.mu, sigma=m.sigma, s0=m.s0, s_star=tr.s_star,
+        u0=tr.u0, k=tr.k, t_end=t_end, n_paths=n_paths, n_steps=grid.n_steps,
+        master_seed=master_seed, bridge=bridge,
+    )
+    return FigureResult(config=config, dataset=dataset, report=report, no_stop_report=no_stop_report)
 
 
 @dataclass(frozen=True)
@@ -271,21 +230,16 @@ class LegResult:
     status: str
     detail: dict
 
-    @property
-    def failed(self) -> bool:
-        return self.status == "fail"
-
 
 @dataclass(frozen=True)
 class PropertyReport:
     """All trajectory and bound legs for one simulated batch."""
 
     legs: tuple[LegResult, ...]
-    metadata: dict
 
     @property
     def passed(self) -> bool:
-        return not any(leg.failed for leg in self.legs)
+        return all(leg.status != "fail" for leg in self.legs)
 
     def leg(self, name: str) -> LegResult:
         for leg in self.legs:
@@ -294,15 +248,11 @@ class PropertyReport:
         raise KeyError(name)
 
 
-def property_suite(
-    m: MarketParams,
-    tr: TradeSpec,
-    grid: PathGrid,
-    n_paths: int,
-    master_seed: int,
-    bridge: bool = True,
-) -> PropertyReport:
-    """Check the trajectory guarantees and the expected-gain bound by simulation.
+def property_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> PropertyReport:
+    """Check the trajectory guarantees and the expected-gain bound on a simulated batch.
+
+    ``batch`` must be run with ``trajectory=True``, from the market and trade
+    of ``ctx`` at horizon ``t_end``.
 
     Legs
     ----
@@ -321,26 +271,9 @@ def property_suite(
         ``c * (1 - F(c - v0)) - v0`` within three standard errors, for
         cutoffs ``c`` at half, once and twice ``v0``.
     """
-    batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, trajectory=True)
-    return property_report(batch, m, tr, grid, master_seed, bridge)
-
-
-def property_report(
-    batch: BatchResult,
-    m: MarketParams,
-    tr: TradeSpec,
-    grid: PathGrid,
-    master_seed: int,
-    bridge: bool = True,
-) -> PropertyReport:
-    """The legs of :func:`property_suite`, from a batch run with ``trajectory=True``.
-
-    ``m``, ``tr``, ``grid``, ``master_seed`` and ``bridge`` are the batch's
-    own; they fill in the report's metadata.
-    """
     if batch.trajectory is None:
         raise ParameterError("property legs need a batch run with trajectory=True")
-    ctx = ShorthandContext(m, tr)
+    tr = ctx.trade
     traj = batch.trajectory
     # both the account and the bound's derivation need u0 <= k v0
     survives = check_survivability(tr)
@@ -358,16 +291,10 @@ def property_report(
             max_abs_stopped_investment=0.0,
         ),
         _count_leg("control_bound", traj.control_bound_violations, max_excess=traj.max_bound_excess),
-        _lower_bound_leg(batch.terminal_gain, ctx, grid.t_end)
+        _lower_bound_leg(batch.terminal_gain, ctx, t_end)
         if survives else LegResult("lower_bound", "skipped", {"reason": unmet}),
     )
-
-    metadata = dict(
-        mu=m.mu, sigma=m.sigma, s0=m.s0, s_star=tr.s_star, u0=tr.u0, k=tr.k, v0=tr.v0,
-        t_end=grid.t_end, n_steps=grid.n_steps, n_paths=len(batch.terminal_gain),
-        master_seed=int(master_seed), bridge=bridge,
-    )
-    return PropertyReport(legs=legs, metadata=metadata)
+    return PropertyReport(legs=legs)
 
 
 def _leg(name: str, passed: bool, detail: dict) -> LegResult:

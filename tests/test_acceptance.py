@@ -26,7 +26,7 @@ from stopgain.cdf import (
 from stopgain.cli import EXIT_OK, main
 from stopgain.model import MarketParams, TradeSpec, expected_gain_lower_bound, timid_floor
 from stopgain.simulate import PathGrid, run_batch
-from stopgain.verify import property_suite, comparison_grid, reproduce_figure
+from stopgain.verify import comparison_grid, property_report, reproduce_figure
 
 DEMO = MarketParams(mu=0.5, sigma=1.0, s0=1.0)
 
@@ -106,7 +106,8 @@ def test_criterion_07_atom_identity():
 def test_criterion_08_property_suite():
     """Ten thousand paths, zero violations of the three trajectory guarantees."""
     tr = TradeSpec(u0=1.0, k=1.0, v0=2.0, s_star=0.5)  # u0 <= k * v0
-    report = property_suite(DEMO, tr, PathGrid(1.0, 1024), 10_000, 404)
+    batch = run_batch(DEMO, tr, PathGrid(1.0, 1024), 10_000, 404, trajectory=True)
+    report = property_report(batch, ShorthandContext(DEMO, tr), 1.0)
     for name in ("survivability", "long_only", "control_bound"):
         leg = report.leg(name)
         assert leg.status == "pass", f"{name}: {leg.detail}"

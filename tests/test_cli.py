@@ -77,6 +77,17 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:") and "overflows" in err
 
+    def test_huge_level_over_tiny_investment(self, capsys):
+        # k x / u0 overflows to +inf on the way to the level's log price; the
+        # level is far above the band, where F is 1, and no warning is raised
+        rc, out, _ = run(
+            capsys,
+            ["eval", "--u0", "1e-300", "--k", "0.94", "--sigma", "2.28", "--sstar", "0.5",
+             "--x", "1e200"],
+        )
+        assert rc == EXIT_OK
+        assert out == "1 upper\n"
+
 
 class TestStoptime:
     def test_demo_value(self, capsys):
@@ -160,6 +171,18 @@ class TestCurve:
         rc, _, err = run(capsys, ["curve", "--sstar", "0.5"])
         assert rc == EXIT_USAGE
         assert "--xmin" in err
+
+    def test_late_stop_gain_past_the_largest_float(self, capsys):
+        # at k < 1 a stop at t = 3e8 would lock in a gain that overflows; the
+        # band then ends at +inf, without a warning, and the rows keep their bytes
+        rc, out, _ = run(
+            capsys,
+            ["curve", "--sstar", "0.8", "--k", "0.83", "--mu", "1.9", "--t", "3e8",
+             "--xmin", "-0.001", "--xmax", "1e-9"],
+        )
+        assert rc == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "2dc8c7c97986a5509e984760b5f98a80dbf9ffb0cc48fa9c1f386b957cf2207a"
 
 
 class TestFiniteFlagsAreUsageErrors:
@@ -575,6 +598,16 @@ class TestFigure:
         assert rc == EXIT_USAGE
         assert err.startswith("error:")
         assert simulated["run_batch"] == 0
+
+    def test_report_config(self, capsys, tmp_path):
+        rc = main(["figure", "2", "--paths", "2000", "--steps", "64", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == EXIT_GATE  # 2000 paths miss the 50,000-path gate
+        assert json.loads((tmp_path / "figure2.json").read_text())["config"] == {
+            "which": 2, "mu": 0.5, "sigma": 1.0, "s0": 1.0, "s_star": 0.5, "u0": 1.0, "k": 2.0,
+            "t_end": 1.0, "n_paths": 2000, "n_steps": 64, "master_seed": 13, "bridge": True,
+            "workers": 1, "gate": 0.015,
+        }
 
     def test_rejects_unknown_figure(self, capsys):
         with pytest.raises(SystemExit) as exc:

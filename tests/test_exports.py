@@ -25,7 +25,7 @@ PUBLIC = {
     # verify
     "EmpiricalCdf", "ComparisonReport", "LegResult", "PropertyReport", "FigureResult",
     "FIGURE_PARAMS", "empirical_cdf", "compare", "comparison_grid", "law_report",
-    "property_report", "replicate", "reproduce_figure", "property_suite",
+    "property_report", "reproduce_figure",
 }
 
 

@@ -1,6 +1,5 @@
 """Empirical CDF machinery, figure reproduction and the property legs."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +17,8 @@ from stopgain.verify import (
     compare,
     comparison_grid,
     empirical_cdf,
-    property_suite,
-    replicate,
+    law_report,
+    property_report,
     reproduce_figure,
 )
 
@@ -78,13 +77,6 @@ class TestCompare:
         e = empirical_cdf([1.0])
         with pytest.raises(EmptySampleError):
             compare(e, lambda x: 0.0, [])
-
-    def test_metadata_is_copied(self):
-        e = empirical_cdf([1.0])
-        meta = {"seed": 1}
-        report = compare(e, lambda x: 0.0, [0.0], meta)
-        meta["seed"] = 2
-        assert report.metadata == {"seed": 1}
 
     def test_sup_grows_under_grid_refinement(self):
         # a superset of abscissae can only see more deviation
@@ -216,23 +208,10 @@ class TestComparisonGrid:
 
 
 class TestReplicate:
-    def test_metadata_reruns_bit_for_bit(self):
-        report = replicate(
-            mu=0.5, sigma=1.0, s0=1.0, s_star=0.5, u0=1.0, k=2.0,
-            t_end=1.0, n_paths=1500, n_steps=128, master_seed=3131,
-        )
-        again = replicate(**report.metadata)
-        assert np.array_equal(report.grid, again.grid)
-        assert np.array_equal(report.theory, again.theory)
-        assert np.array_equal(report.empirical, again.empirical)
-        assert report.sup_distance == again.sup_distance
-        assert report.metadata == again.metadata
-
     def test_small_run_is_already_close(self):
-        report = replicate(
-            mu=0.5, sigma=1.0, s0=1.0, s_star=0.5, u0=1.0, k=1.0,
-            t_end=1.0, n_paths=4000, n_steps=256, master_seed=11,
-        )
+        ctx = ctx_for(1.0)
+        batch = run_batch(DEMO, ctx.trade, PathGrid(1.0, 256), 4000, 11)
+        report = law_report(batch, ctx, 1.0)
         assert report.sup_distance < 0.05
         assert report.n_samples == 4000
 
@@ -298,18 +277,23 @@ class TestReproduceFigure:
             reproduce_figure(4)
 
     def test_report_metadata_names_the_run(self, small_figs):
-        md = small_figs[2].report.metadata
-        assert md["which"] == 2
-        assert md["n_paths"] == 2500
-        assert md["n_steps"] == 128
-        assert md["master_seed"] == 5
-        assert small_figs[2].no_stop_report.metadata["stop_enabled"] is False
+        config = small_figs[2].config
+        assert config["which"] == 2
+        assert config["n_paths"] == 2500
+        assert config["n_steps"] == 128
+        assert config["master_seed"] == 5
+
+
+def legs_of(tr, grid, n_paths, seed):
+    """The property legs of one trajectory batch on the demo market."""
+    batch = run_batch(DEMO, tr, grid, n_paths, seed, trajectory=True)
+    return property_report(batch, ShorthandContext(DEMO, tr), grid.t_end)
 
 
 class TestPropertySuite:
     def test_all_legs_pass_when_survivable(self):
         tr = TradeSpec(u0=1.0, k=1.0, v0=2.0, s_star=0.5)
-        report = property_suite(DEMO, tr, PathGrid(1.0, 64), 2000, 17)
+        report = legs_of(tr, PathGrid(1.0, 64), 2000, 17)
         assert report.passed
         for name in ("survivability", "long_only", "control_bound", "lower_bound"):
             assert report.leg(name).status == "pass"
@@ -320,12 +304,12 @@ class TestPropertySuite:
     def test_bold_and_timid_runs(self):
         for k in (2.0, 0.5):
             tr = TradeSpec(u0=1.0, k=k, v0=2.0, s_star=0.5)
-            report = property_suite(DEMO, tr, PathGrid(1.0, 64), 1500, 23)
+            report = legs_of(tr, PathGrid(1.0, 64), 1500, 23)
             assert report.passed
 
     def test_unsurvivable_legs_are_skipped(self):
         tr = TradeSpec(u0=3.0, k=1.0, v0=1.0, s_star=0.5)  # u0 > k*v0
-        report = property_suite(DEMO, tr, PathGrid(1.0, 64), 500, 31)
+        report = legs_of(tr, PathGrid(1.0, 64), 500, 31)
         assert report.leg("survivability").status == "skipped"
         assert report.leg("lower_bound").status == "skipped"
         # the remaining legs still hold and decide the outcome
@@ -343,20 +327,12 @@ class TestPropertySuite:
 
     def test_unknown_leg_lookup(self):
         tr = TradeSpec(u0=1.0, k=1.0, v0=2.0, s_star=0.5)
-        report = property_suite(DEMO, tr, PathGrid(1.0, 16), 50, 1)
+        report = legs_of(tr, PathGrid(1.0, 16), 50, 1)
         with pytest.raises(KeyError):
             report.leg("nope")
 
-    def test_metadata_round_trip(self):
-        tr = TradeSpec(u0=1.0, k=2.0, v0=1.0, s_star=0.5)
-        report = property_suite(DEMO, tr, PathGrid(0.5, 32), 250, 77)
-        md = report.metadata
-        again = property_suite(
-            MarketParams(md["mu"], md["sigma"], md["s0"]),
-            TradeSpec(u0=md["u0"], k=md["k"], v0=md["v0"], s_star=md["s_star"]),
-            PathGrid(md["t_end"], md["n_steps"]),
-            md["n_paths"], md["master_seed"], bridge=md["bridge"],
-        )
-        assert [dataclasses.asdict(leg) for leg in again.legs] == [
-            dataclasses.asdict(leg) for leg in report.legs
-        ]
+    def test_needs_a_trajectory_batch(self):
+        tr = TradeSpec(u0=1.0, k=1.0, v0=2.0, s_star=0.5)
+        batch = run_batch(DEMO, tr, PathGrid(1.0, 16), 50, 1)
+        with pytest.raises(ParameterError, match="trajectory=True"):
+            property_report(batch, ShorthandContext(DEMO, tr), 1.0)
