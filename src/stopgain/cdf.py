@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainError, ParameterError, RegimeError
+from .errors import DomainError, ParameterError
 from .model import MarketParams, TradeSpec, g_star_t, require_stop, z_star
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ShorthandContext",
     "CdfQuery",
     "CdfValue",
-    "std_normal_cdf",
     "a_of_x",
     "cdf_no_stop",
     "stopping_time_cdf",
@@ -58,15 +57,6 @@ _BRANCH_NAMES = np.array([BRANCH_FLOOR, BRANCH_MIDDLE, BRANCH_UPPER, BRANCH_NO_S
 def _scalar_or_array(out):
     """A ``float`` for a 0-d result, the array itself otherwise."""
     return float(out) if np.ndim(out) == 0 else out
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF, elementwise (``scipy.special.ndtr``).
-
-    Double-precision accurate (absolute error well under 1e-15) and saturates
-    cleanly to 0 and 1 in the tails, including at infinite arguments.
-    """
-    return _scalar_or_array(ndtr(x))
 
 
 @dataclass(frozen=True)
@@ -133,7 +123,23 @@ class CdfValue:
 
 def _phi_at_log(ctx: ShorthandContext, log_z, t):
     """Normal CDF of the standardized log price ``(log_z + (mu - sigma**2/2) t) / (sigma sqrt(t))``."""
-    return ndtr((log_z + ctx.market.drift_rate * t) / (ctx.market.sigma * np.sqrt(t)))
+    # the drift term or the quotient overflows only when the exact argument is
+    # far beyond +-40, where ndtr is exactly 0 or 1, so the +-inf is exact
+    with np.errstate(over="ignore"):
+        return ndtr((log_z + ctx.market.drift_rate * t) / (ctx.market.sigma * np.sqrt(t)))
+
+
+def _log1p_kx_over_u0(x, tr: TradeSpec):
+    """``log1p(k x / u0)``, also where the ratio overflows a float.
+
+    The ratio overflows only for x > 0 (every level lies above -u0/k), and
+    there its log is ``log(k) + log(x) - log(u0)``, which is finite.
+    """
+    with np.errstate(over="ignore"):
+        ratio = tr.k * x / tr.u0
+    huge = np.isinf(ratio)
+    log_big = math.log(tr.k) + np.log(np.where(huge, x, 1.0)) - math.log(tr.u0)
+    return np.where(huge, log_big, np.log1p(ratio))
 
 
 def a_of_x(x, ctx: ShorthandContext):
@@ -145,11 +151,11 @@ def a_of_x(x, ctx: ShorthandContext):
     """
     tr, m = ctx.trade, ctx.market
     if tr.k == 1:
-        raise RegimeError("a_of_x is undefined for k = 1 (the level curve is flat)")
+        raise DomainError("a_of_x is undefined for k = 1 (the level curve is flat)")
     x = np.asarray(x, dtype=float)
     if not np.all(x > -tr.u0 / tr.k):
         raise DomainError(f"x must exceed -u0/k = {-tr.u0 / tr.k} (got {x})")
-    log_arg = tr.k * ctx.log_s0_over_star + np.log1p(tr.k * x / tr.u0)
+    log_arg = tr.k * ctx.log_s0_over_star + _log1p_kx_over_u0(x, tr)
     return _scalar_or_array(-2.0 * log_arg / (m.sigma**2 * tr.k * (tr.k - 1.0)))
 
 
@@ -159,9 +165,7 @@ def _log_b(x, t, ctx: ShorthandContext):
     The log of ``((k x / u0 + 1) * exp(-sigma^2 (k - k^2) t / 2)) ** (1/k)``.
     """
     tr, m = ctx.trade, ctx.market
-    with np.errstate(over="ignore"):  # a huge x over a tiny u0 is +inf, and log1p keeps it
-        kx_over_u0 = tr.k * x / tr.u0
-    return (np.log1p(kx_over_u0) - 0.5 * m.sigma**2 * (tr.k - tr.k**2) * t) / tr.k
+    return (_log1p_kx_over_u0(x, tr) - 0.5 * m.sigma**2 * (tr.k - tr.k**2) * t) / tr.k
 
 
 def cdf_no_stop(q: CdfQuery, ctx: ShorthandContext) -> CdfValue:
@@ -225,7 +229,7 @@ def _band(ctx: ShorthandContext, t: float):
     A stop at time s freezes the gain at ``g_star_t(s)``, which is monotone
     in s, so the stopped gains fill the band between its values at 0 and
     ``t``.  The floor is the lower end, locked in by a stop at ``t_floor``;
-    F is 0 below it.  At k = 1 both ends are the atom ``g_star``.
+    F is 0 below it.  At k = 1 both ends are the atom ``g_star_t(0)``.
     """
     times = np.array([0.0, t])
     with np.errstate(over="ignore"):  # a late stop's gain may overflow to +inf

@@ -325,9 +325,7 @@ def cmd_verify(args) -> int:
         report["cdf_comparison"] = {"skipped": "no stop order; nothing to gate"}
 
     props = _verify.property_report(batch, ctx, args.t)
-    report["properties"] = {
-        leg.name: {"status": leg.status, **leg.detail} for leg in props.legs
-    }
+    report["properties"] = {name: {"status": leg.status, **leg.detail} for name, leg in props.legs.items()}
     passed = cdf_ok and props.passed
     report["passed"] = passed
     _dump_json(report, args.out)

@@ -3,7 +3,6 @@
 __all__ = [
     "StopgainError",
     "ParameterError",
-    "RegimeError",
     "DomainError",
     "ResourceError",
     "EmptySampleError",
@@ -16,10 +15,6 @@ class StopgainError(Exception):
 
 class ParameterError(StopgainError, ValueError):
     """A model parameter violates its declared constraint."""
-
-
-class RegimeError(StopgainError, ValueError):
-    """An operation was called for a feedback gain it does not cover."""
 
 
 class DomainError(StopgainError, ValueError):

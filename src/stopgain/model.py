@@ -11,15 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, RegimeError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "MarketParams",
     "TradeSpec",
     "z_star",
-    "g_star",
     "g_star_t",
-    "timid_floor",
     "gain",
     "check_survivability",
     "expected_gain_lower_bound",
@@ -146,17 +144,12 @@ def gain(tr: TradeSpec, m: MarketParams, log_rel, t):
     return (tr.u0 / tr.k) * np.expm1(tr.k * log_rel + half * t)
 
 
-def g_star(tr: TradeSpec, m: MarketParams) -> float:
-    """Gain locked in when the stop fires under pure buy-and-hold (k = 1)."""
-    return g_star_t(tr, m, 0.0)
-
-
 def g_star_t(tr: TradeSpec, m: MarketParams, t):
     """Gain locked in when the stop fires at time ``t``.
 
     :func:`gain` at the stop level: (u0/k) ((s_star/s0)^k e^(sigma^2 (k - k^2) t/2) - 1).
-    Decreasing in ``t`` for ``k > 1``, increasing for ``k < 1`` and constant
-    at ``g_star`` for ``k = 1``.  Vectorized over ``t``.
+    Decreasing in ``t`` for ``k > 1``, increasing for ``k < 1`` and constant for
+    ``k = 1``; at ``t = 0`` it is the k = 1 atom and the k < 1 floor.  Vectorized.
     """
     s_star = require_stop(tr, m)
     t = np.asarray(t, dtype=float)
@@ -164,17 +157,6 @@ def g_star_t(tr: TradeSpec, m: MarketParams, t):
         raise DomainError("t must be >= 0")
     out = gain(tr, m, math.log(s_star / m.s0), t)
     return float(out) if out.ndim == 0 else out
-
-
-def timid_floor(tr: TradeSpec, m: MarketParams) -> float:
-    """Hard lower bound of the gain for sub-unit feedback (0 < k < 1).
-
-    No outcome, stopped or not, can fall at or below
-    ``(u0/k) * ((s_star/s0)**k - 1)`` in this regime.
-    """
-    if not tr.k < 1:
-        raise RegimeError(f"timid_floor requires 0 < k < 1 (got k={tr.k})")
-    return g_star_t(tr, m, 0.0)
 
 
 def check_survivability(tr: TradeSpec) -> bool:

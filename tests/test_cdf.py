@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from reference_values import CLOSED_FORM, MC_ORACLE, PHI_TABLE
 from stopgain.cdf import (
@@ -22,6 +23,7 @@ from stopgain.cdf import (
     CdfValue,
     ShorthandContext,
     _joint_survival_log,
+    _log1p_kx_over_u0,
     _log_b,
     _phi_at_log,
     a_of_x,
@@ -30,12 +32,11 @@ from stopgain.cdf import (
     joint_cdf_stopped,
     joint_cdf_unstopped,
     omega,
-    std_normal_cdf,
     stopping_time_cdf,
     theta,
 )
-from stopgain.errors import DomainError, ParameterError, RegimeError
-from stopgain.model import MarketParams, TradeSpec, g_star, g_star_t, gain, timid_floor
+from stopgain.errors import DomainError, ParameterError
+from stopgain.model import MarketParams, TradeSpec, g_star_t, gain
 from stopgain.verify import comparison_grid
 
 DEMO = MarketParams(mu=0.5, sigma=1.0, s0=1.0)
@@ -62,21 +63,21 @@ def _phi_abscissa(key):
 class TestStdNormalCdf:
     @pytest.mark.parametrize("key", sorted(PHI_TABLE))
     def test_reference_table(self, key):
-        assert abs(std_normal_cdf(_phi_abscissa(key)) - PHI_TABLE[key]) <= 1e-15
+        assert abs(ndtr(_phi_abscissa(key)) - PHI_TABLE[key]) <= 1e-15
 
     def test_symmetry(self):
         for x in np.linspace(-8.0, 8.0, 161):
-            assert abs(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0) <= 1e-15
+            assert abs(ndtr(x) + ndtr(-x) - 1.0) <= 1e-15
 
     def test_tails_saturate(self):
-        assert std_normal_cdf(40.0) == 1.0
-        assert std_normal_cdf(-40.0) < 1e-300
-        assert std_normal_cdf(math.inf) == 1.0
-        assert std_normal_cdf(-math.inf) == 0.0
+        assert ndtr(40.0) == 1.0
+        assert ndtr(-40.0) < 1e-300
+        assert ndtr(math.inf) == 1.0
+        assert ndtr(-math.inf) == 0.0
 
     def test_monotone(self):
         xs = np.linspace(-10.0, 10.0, 2001)
-        ps = np.array([std_normal_cdf(x) for x in xs])
+        ps = np.array([ndtr(x) for x in xs])
         assert (np.diff(ps) >= 0).all()
 
 
@@ -121,11 +122,11 @@ class TestShorthandOperations:
     def test_big_x(self):
         # Phi of the standardized log price X(z, t) = (ln z + nu t) / (sigma sqrt(t));
         # drift-free demo market: X(z, 1) = ln z
-        assert _phi_at_log(CTX1, math.log(2.0), 1.0) == pytest.approx(std_normal_cdf(math.log(2.0)), rel=1e-15)
+        assert _phi_at_log(CTX1, math.log(2.0), 1.0) == pytest.approx(ndtr(math.log(2.0)), rel=1e-15)
         assert _phi_at_log(CTX1, 0.0, 4.0) == 0.5
         m = MarketParams(mu=1.0, sigma=2.0, s0=1.0)
         ctx = ctx_for(1.0, market=m)  # nu = -1
-        assert _phi_at_log(ctx, 0.0, 1.0) == pytest.approx(std_normal_cdf(-0.5), rel=1e-15)
+        assert _phi_at_log(ctx, 0.0, 1.0) == pytest.approx(ndtr(-0.5), rel=1e-15)
 
     def test_a_of_x_golden(self):
         assert a_of_x(0.0, CTX2) == pytest.approx(CLOSED_FORM["k2_a_x0"], rel=1e-14)
@@ -145,7 +146,7 @@ class TestShorthandOperations:
             assert a_of_x(x, ctx) == pytest.approx(t, rel=1e-9)
 
     def test_a_of_x_errors(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match="k = 1"):
             a_of_x(0.0, CTX1)
         with pytest.raises(DomainError):
             a_of_x(-0.5, CTX2)  # at -u0/k
@@ -159,6 +160,17 @@ class TestShorthandOperations:
             for x in (-0.2, 0.0, 1.5):
                 for t in (0.25, 1.0):
                     assert gain(ctx.trade, DEMO, _log_b(x, t, ctx), t) == pytest.approx(x, abs=1e-12)
+
+    def test_log1p_kx_over_u0_past_the_largest_float(self):
+        # k x / u0 from 1e300 to 1e400: the ratio overflows a float, its log does not
+        mp = pytest.importorskip("mpmath")
+        tr = TradeSpec(u0=1e-100, k=2.0, s_star=0.5)
+        xs = 0.5 * np.logspace(200, 300, 41)
+        got = _log1p_kx_over_u0(xs, tr)
+        assert (got > math.log(np.finfo(float).max)).any()
+        with mp.workdps(50):
+            want = np.array([float(mp.log1p(mp.mpf(tr.k) * mp.mpf(x) / mp.mpf(tr.u0))) for x in xs])
+        assert np.abs(got / want - 1.0).max() <= 1e-15
 
     def test_theta_golden(self):
         assert theta(0.0, 1.0, CTX2) == pytest.approx(CLOSED_FORM["k2_theta_x0_t1"], rel=1e-13)
@@ -191,7 +203,7 @@ class TestStoppingTimeLaw:
     def test_long_horizon_limits(self):
         # driftless log price: the barrier is hit almost surely
         assert stopping_time_cdf(1e4, CTX1) == pytest.approx(
-            2.0 * std_normal_cdf(math.log(0.5) / 100.0), rel=1e-12
+            2.0 * ndtr(math.log(0.5) / 100.0), rel=1e-12
         )
         assert stopping_time_cdf(1e4, CTX1) > 0.99
         # positive log drift: the limit is (s_star/s0)^(2 nu / sigma^2)
@@ -228,7 +240,7 @@ class TestJointSurvival:
     def test_below_barrier_consistency(self):
         # asking for survival at the barrier just drops the price condition:
         # the stop not firing already implies price > s_star
-        assert theta(g_star(CTX1.trade, DEMO), 1.0, CTX1) == pytest.approx(omega(1.0, CTX1), rel=1e-12)
+        assert theta(g_star_t(CTX1.trade, DEMO, 0.0), 1.0, CTX1) == pytest.approx(omega(1.0, CTX1), rel=1e-12)
 
     def test_mc_cross_check(self):
         assert _survival_at_price(1.0, 1.0, CTX1) == pytest.approx(
@@ -250,7 +262,7 @@ class TestNoStopLaw:
     def test_matches_lognormal_tail_k1(self):
         # k=1: gain <= x iff terminal price <= x + u0 (u0 = s0 = 1)
         for x in (-0.3, 0.0, 1.0):
-            expected = std_normal_cdf(math.log(1.0 + x))
+            expected = ndtr(math.log(1.0 + x))
             assert cdf_no_stop(CdfQuery(x, 1.0), CTX1).p == pytest.approx(expected, rel=1e-13)
 
     def test_monotone_all_regimes(self):
@@ -346,7 +358,7 @@ class TestBoldLaw:
 class TestTimidLaw:
     def test_branches(self):
         t = 1.0
-        hard = timid_floor(CTX05.trade, DEMO)
+        hard = g_star_t(CTX05.trade, DEMO, 0.0)
         assert cdf_with_stop(CdfQuery(hard, t), CTX05) == CdfValue(0.0, BRANCH_FLOOR)
         mid = cdf_with_stop(CdfQuery(-0.5, t), CTX05)
         assert mid.branch == BRANCH_MIDDLE
@@ -417,7 +429,7 @@ class TestJointDecomposition:
         # at k = 1 every stop locks in g_star, so the stopped part jumps there
         # to the whole stop probability
         for t in (0.1, 1.0, 10.0):
-            at = joint_cdf_stopped(g_star(CTX1.trade, DEMO), t, CTX1)
+            at = joint_cdf_stopped(g_star_t(CTX1.trade, DEMO, 0.0), t, CTX1)
             assert abs(at - stopping_time_cdf(t, CTX1)) <= 1e-12
 
     def test_unstopped_mc_cross_check(self):
@@ -427,7 +439,7 @@ class TestJointDecomposition:
 
     def test_timid_band_is_empty_for_survivors(self):
         # between the hard floor and the level curve only stopped paths live
-        hard = timid_floor(CTX05.trade, DEMO)
+        hard = g_star_t(CTX05.trade, DEMO, 0.0)
         level = g_star_t(CTX05.trade, DEMO, 1.0)
         for x in np.linspace(hard + 1e-9, level - 1e-9, 25):
             assert joint_cdf_unstopped(float(x), 1.0, CTX05) == 0.0
@@ -508,14 +520,8 @@ class TestLimitsAndStress:
 def _boundary_points(ctx, t):
     """Every level a branch test compares against, with both float neighbours."""
     tr = ctx.trade
-    points = [g_star_t(tr, DEMO, t), -tr.u0 / tr.k]
-    if tr.k == 1:
-        points.append(g_star(tr, DEMO))
-    else:
-        points.append(g_star_t(tr, DEMO, 0.0))  # the junction
-    if tr.k < 1:
-        points.append(timid_floor(tr, DEMO))
-    points = np.array(points)
+    # g_star_t at 0 is the k = 1 atom, the k > 1 junction and the k < 1 floor
+    points = np.array([g_star_t(tr, DEMO, t), -tr.u0 / tr.k, g_star_t(tr, DEMO, 0.0)])
     return np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
 
 

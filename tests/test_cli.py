@@ -88,6 +88,30 @@ class TestEval:
         assert rc == EXIT_OK
         assert out == "1 upper\n"
 
+    def test_free_law_where_the_level_ratio_overflows(self, capsys):
+        # k x / u0 overflows, but its log does not, and the law depends on it
+        rc, out, _ = run(
+            capsys,
+            ["eval", "--u0", "1e-300", "--k", "0.999999", "--sigma", "1000", "--mu", "500000",
+             "--x", "1e200", "--t", "1"],
+        )
+        assert rc == EXIT_OK
+        p, branch = out.split()
+        assert float(p) == pytest.approx(0.8750914407289243, rel=1e-12)
+        assert branch == "no-stop"
+
+    def test_stop_time_of_a_level_whose_ratio_overflows(self, capsys):
+        # a_of_x takes the log of the same overflowing k x / u0, with no warning
+        rc, out, _ = run(
+            capsys,
+            ["eval", "--mu=0.013438572624139089", "--sigma=0.0026411845493779598",
+             "--s0=14.940993977861613", "--sstar=0.019895085858610845",
+             "--u0=2.151582031474922e-112", "--k=0.027034706775861457",
+             "--t=2.1676659750922875e+162", "--x=6.046618481030597e+252"],
+        )
+        assert rc == EXIT_OK
+        assert out == "0 middle\n"
+
 
 class TestStoptime:
     def test_demo_value(self, capsys):
@@ -106,6 +130,15 @@ class TestStoptime:
         rc, _, err = run(capsys, ["stoptime", "--sstar", "0.5", "--t", "0"])
         assert rc == EXIT_USAGE
         assert "t must be" in err
+
+    def test_drift_term_past_the_largest_float(self, capsys):
+        # the drift times t overflows; the exact argument of the normal CDF is
+        # then far out in its tail, where the CDF is exactly 0 or 1
+        rc, out, _ = run(
+            capsys, ["stoptime", "--mu", "-139.93", "--sstar", "0.2116", "--k", "1.68", "--t", "1.7e308"]
+        )
+        assert rc == EXIT_OK
+        assert out == "1\n"
 
 
 class TestCurve:

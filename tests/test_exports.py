@@ -10,21 +10,21 @@ MODULES = (errors, model, cdf, simulate, verify)
 PUBLIC = {
     "__version__",
     # errors
-    "StopgainError", "ParameterError", "RegimeError", "DomainError", "ResourceError",
+    "StopgainError", "ParameterError", "DomainError", "ResourceError",
     "EmptySampleError",
     # model
-    "MarketParams", "TradeSpec", "z_star", "g_star", "g_star_t", "timid_floor", "gain",
+    "MarketParams", "TradeSpec", "z_star", "g_star_t", "gain",
     "check_survivability", "expected_gain_lower_bound",
     # cdf
     "BRANCH_FLOOR", "BRANCH_MIDDLE", "BRANCH_UPPER", "BRANCH_NO_STOP", "ShorthandContext",
-    "CdfQuery", "CdfValue", "std_normal_cdf", "a_of_x", "cdf_no_stop", "stopping_time_cdf",
+    "CdfQuery", "CdfValue", "a_of_x", "cdf_no_stop", "stopping_time_cdf",
     "omega", "theta", "joint_cdf_stopped", "joint_cdf_unstopped", "cdf_with_stop",
     # simulate
     "PathGrid", "PathTrajectory", "BatchResult", "TrajectoryStats", "path_trajectory",
     "run_batch",
     # verify
-    "EmpiricalCdf", "ComparisonReport", "LegResult", "PropertyReport", "FigureResult",
-    "FIGURE_PARAMS", "empirical_cdf", "compare", "comparison_grid", "law_report",
+    "ComparisonReport", "LegResult", "PropertyReport", "FigureResult",
+    "FIGURE_PARAMS", "compare", "comparison_grid", "law_report",
     "property_report", "reproduce_figure",
 }
 

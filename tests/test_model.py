@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from reference_values import CLOSED_FORM
-from stopgain.errors import DomainError, ParameterError, RegimeError
+from stopgain.errors import DomainError, ParameterError
 from stopgain.model import (
     MarketParams,
     TradeSpec,
     check_survivability,
     expected_gain_lower_bound,
-    g_star,
     g_star_t,
     gain,
     require_stop,
-    timid_floor,
     z_star,
 )
 
@@ -93,8 +91,8 @@ class TestTradeSpec:
 
 class TestStopGainLevels:
     def test_g_star_buy_and_hold(self):
-        assert g_star(trade(1.0), DEMO) == -0.5
-        assert g_star(TradeSpec(u0=2.0, k=1.0, v0=2.0, s_star=0.25), DEMO) == -1.5
+        assert g_star_t(trade(1.0), DEMO, 0.0) == -0.5
+        assert g_star_t(TradeSpec(u0=2.0, k=1.0, v0=2.0, s_star=0.25), DEMO, 0.0) == -1.5
 
     def test_g_star_t_constant_for_k1(self):
         out = g_star_t(trade(1.0), DEMO, [0.0, 0.5, 1.0, 4.0])
@@ -120,16 +118,9 @@ class TestStopGainLevels:
             g_star_t(trade(2.0), DEMO, -0.1)
 
     def test_timid_floor_value(self):
-        assert timid_floor(trade(0.5), DEMO) == pytest.approx(
+        assert g_star_t(trade(0.5), DEMO, 0.0) == pytest.approx(
             CLOSED_FORM["k05_hard_floor"], rel=1e-14
         )
-        # the floor is the level curve's t = 0 value
-        assert g_star_t(trade(0.5), DEMO, 0.0) == timid_floor(trade(0.5), DEMO)
-
-    @pytest.mark.parametrize("k", [1.0, 2.0])
-    def test_timid_floor_rejects_other_regimes(self, k):
-        with pytest.raises(RegimeError):
-            timid_floor(trade(k), DEMO)
 
 
 class TestGainMapAccuracy:
@@ -141,14 +132,14 @@ class TestGainMapAccuracy:
         assert abs(value - ref) <= math.ulp(ref), (key, value, ref)
 
     def test_stop_levels(self):
-        self.within_one_ulp(g_star(trade(1.0), DEMO), "k1_g_star")
+        self.within_one_ulp(g_star_t(trade(1.0), DEMO, 0.0), "k1_g_star")
         for t, key in ((0.25, "k2_g_floor_t025"), (1.0, "k2_g_floor_t1"), (4.0, "k2_g_floor_t4")):
             self.within_one_ulp(g_star_t(trade(2.0), DEMO, t), key)
         self.within_one_ulp(g_star_t(trade(0.5), DEMO, 1.0), "k05_g_level_t1")
 
     def test_junction_and_floor(self):
         self.within_one_ulp(g_star_t(trade(2.0), DEMO, 0.0), "k2_junction")
-        self.within_one_ulp(timid_floor(trade(0.5), DEMO), "k05_hard_floor")
+        self.within_one_ulp(g_star_t(trade(0.5), DEMO, 0.0), "k05_hard_floor")
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
     def test_wrappers_are_the_gain_map(self, k):

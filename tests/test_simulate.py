@@ -18,7 +18,7 @@ import kernel_reference as reference
 from stopgain import simulate
 from stopgain.cdf import ShorthandContext, stopping_time_cdf
 from stopgain.errors import ParameterError, ResourceError
-from stopgain.model import MarketParams, TradeSpec, g_star, g_star_t, gain
+from stopgain.model import MarketParams, TradeSpec, g_star_t, gain
 from stopgain.simulate import (
     _BLOCK_CELLS,
     _BRIDGE_CUT,
@@ -423,7 +423,7 @@ class TestGainTrajectory:
 
     def test_buy_and_hold_freezes_at_g_star(self):
         p = self._stopped_path(TRADE1)
-        assert (p.g[p.stop_index :] == g_star(TRADE1, DEMO)).all()
+        assert (p.g[p.stop_index :] == g_star_t(TRADE1, DEMO, 0.0)).all()
         assert (p.u[p.stop_index :] == 0.0).all()
         assert p.u[p.stop_index - 1] > 0.0
 
@@ -491,7 +491,7 @@ class TestRunBatch:
         trade = TradeSpec(u0=1.0, k=1.0, v0=1.0, s_star=s_star)
         batch = run_batch(DEMO, trade, PathGrid(1.0, 128), 2000, 31415)
         assert batch.stopped.any()
-        assert (batch.terminal_gain[batch.stopped] == g_star(trade, DEMO)).all()
+        assert (batch.terminal_gain[batch.stopped] == g_star_t(trade, DEMO, 0.0)).all()
 
     def test_stop_probability_matches_law(self):
         n = 20_000

@@ -10,13 +10,12 @@ from stopgain.cdf import (
     CdfQuery, CdfValue, ShorthandContext, _band, cdf_with_stop, stopping_time_cdf,
 )
 from stopgain.errors import EmptySampleError, ParameterError
-from stopgain.model import MarketParams, TradeSpec, g_star_t, timid_floor
+from stopgain.model import MarketParams, TradeSpec, g_star_t
 from stopgain.simulate import PathGrid, path_trajectory, run_batch
 from stopgain.verify import (
     FIGURE_PARAMS,
     compare,
     comparison_grid,
-    empirical_cdf,
     law_report,
     property_report,
     reproduce_figure,
@@ -30,63 +29,62 @@ def ctx_for(k, v0=None):
     return ShorthandContext(DEMO, tr)
 
 
+def ecdf(samples, x):
+    """The empirical CDF of ``samples`` at ``x``, as :func:`compare` evaluates it."""
+    return compare(samples, lambda grid: 0.0, x).empirical
+
+
 class TestEmpiricalCdf:
     def test_basic_evaluation(self):
-        e = empirical_cdf([1.0, 2.0, 3.0])
-        assert e.evaluate(2.0) == pytest.approx(2.0 / 3.0)
-        assert e.evaluate(0.5) == 0.0
-        assert e.evaluate(3.0) == 1.0
-        assert e.evaluate(99.0) == 1.0
+        assert ecdf([1.0, 2.0, 3.0], 2.0) == pytest.approx(2.0 / 3.0)
+        assert ecdf([1.0, 2.0, 3.0], 0.5) == 0.0
+        assert ecdf([1.0, 2.0, 3.0], 3.0) == 1.0
+        assert ecdf([1.0, 2.0, 3.0], 99.0) == 1.0
 
     def test_right_continuous_at_samples(self):
-        e = empirical_cdf([1.0, 2.0, 3.0])
-        assert e.evaluate(1.0) == pytest.approx(1.0 / 3.0)
-        assert e.evaluate(np.nextafter(1.0, 0.0)) == 0.0
+        assert ecdf([1.0, 2.0, 3.0], 1.0) == pytest.approx(1.0 / 3.0)
+        assert ecdf([1.0, 2.0, 3.0], np.nextafter(1.0, 0.0)) == 0.0
 
     def test_duplicates_count_with_multiplicity(self):
-        e = empirical_cdf([1.0, 1.0, 2.0])
-        assert e.evaluate(1.0) == pytest.approx(2.0 / 3.0)
+        assert ecdf([1.0, 1.0, 2.0], 1.0) == pytest.approx(2.0 / 3.0)
 
     def test_vectorized(self):
-        e = empirical_cdf([3.0, 1.0, 2.0])  # unsorted input is fine
-        out = e.evaluate(np.array([0.0, 1.5, 10.0]))
+        out = ecdf([3.0, 1.0, 2.0], np.array([0.0, 1.5, 10.0]))  # unsorted input is fine
         assert np.allclose(out, [0.0, 1.0 / 3.0, 1.0])
 
     def test_rejects_empty_and_nan(self):
         with pytest.raises(EmptySampleError):
-            empirical_cdf([])
+            ecdf([], [1.0])
         with pytest.raises(ParameterError):
-            empirical_cdf([1.0, math.nan])
+            ecdf([1.0, math.nan], [1.0])
 
 
 class TestCompare:
     def test_zero_distance_against_itself(self):
-        e = empirical_cdf([1.0, 2.0, 3.0, 4.0])
-        report = compare(e, e.evaluate, np.linspace(0.0, 5.0, 40))
+        samples = [1.0, 2.0, 3.0, 4.0]
+        report = compare(samples, lambda x: ecdf(samples, x), np.linspace(0.0, 5.0, 40))
         assert report.sup_distance == 0.0
         assert np.all(report.residual == 0.0)
         assert report.n_samples == 4
 
     def test_residual_orientation(self):
-        e = empirical_cdf([1.0])
-        report = compare(e, lambda x: 0.25, [2.0])
+        report = compare([1.0], lambda x: 0.25, [2.0])
         assert report.residual[0] == pytest.approx(0.75)  # empirical minus theory
         assert report.sup_distance == pytest.approx(0.75)
 
     def test_rejects_empty_grid(self):
-        e = empirical_cdf([1.0])
         with pytest.raises(EmptySampleError):
-            compare(e, lambda x: 0.0, [])
+            compare([1.0], lambda x: 0.0, [])
 
     def test_sup_grows_under_grid_refinement(self):
         # a superset of abscissae can only see more deviation
         ctx = ctx_for(2.0)
         batch = run_batch(DEMO, ctx.trade, PathGrid(1.0, 64), 400, 21)
-        e = empirical_cdf(batch.terminal_gain)
+        samples = batch.terminal_gain
         theory = lambda x: cdf_with_stop(CdfQuery(x, 1.0), ctx).p
         coarse = np.linspace(-0.5, 4.0, 101)
         fine = np.union1d(coarse, np.linspace(-0.5, 4.0, 1001))
-        assert compare(e, theory, fine).sup_distance >= compare(e, theory, coarse).sup_distance
+        assert compare(samples, theory, fine).sup_distance >= compare(samples, theory, coarse).sup_distance
 
     def test_sup_bounded_by_step_function_extremes(self):
         # for a continuous law the true sup lives at the sample points
@@ -99,10 +97,9 @@ class TestCompare:
             np.max(np.abs(np.arange(1, n + 1) / n - f_at)),
             np.max(np.abs(np.arange(0, n) / n - f_at)),
         )
-        e = empirical_cdf(batch.terminal_gain)
         theory = lambda x: cdf_with_stop(CdfQuery(x, 1.0), ctx).p
         grid = np.union1d(np.linspace(-0.5, 6.0, 4001), xs)
-        assert compare(e, theory, grid).sup_distance <= exact + 1e-12
+        assert compare(batch.terminal_gain, theory, grid).sup_distance <= exact + 1e-12
 
 
 def _quantile_reference(ctx, t_end, q):
@@ -135,7 +132,7 @@ class TestComparisonGrid:
         elif k > 1.0:
             floor = g_star_t(tr, DEMO, 1.0)
         else:
-            floor = timid_floor(tr, DEMO)
+            floor = g_star_t(tr, DEMO, 0.0)
         assert floor in grid
         assert grid[0] == pytest.approx(floor - 0.05 / k)
         assert cdf_with_stop(CdfQuery(float(grid[-1]), 1.0), ctx).p >= 0.999
@@ -296,10 +293,10 @@ class TestPropertySuite:
         report = legs_of(tr, PathGrid(1.0, 64), 2000, 17)
         assert report.passed
         for name in ("survivability", "long_only", "control_bound", "lower_bound"):
-            assert report.leg(name).status == "pass"
-        assert report.leg("survivability").detail["min_account_value"] >= 0.0
-        assert report.leg("long_only").detail["min_active_investment"] > 0.0
-        assert report.leg("long_only").detail["max_abs_stopped_investment"] == 0.0
+            assert report.legs[name].status == "pass"
+        assert report.legs["survivability"].detail["min_account_value"] >= 0.0
+        assert report.legs["long_only"].detail["min_active_investment"] > 0.0
+        assert report.legs["long_only"].detail["max_abs_stopped_investment"] == 0.0
 
     def test_bold_and_timid_runs(self):
         for k in (2.0, 0.5):
@@ -310,11 +307,11 @@ class TestPropertySuite:
     def test_unsurvivable_legs_are_skipped(self):
         tr = TradeSpec(u0=3.0, k=1.0, v0=1.0, s_star=0.5)  # u0 > k*v0
         report = legs_of(tr, PathGrid(1.0, 64), 500, 31)
-        assert report.leg("survivability").status == "skipped"
-        assert report.leg("lower_bound").status == "skipped"
+        assert report.legs["survivability"].status == "skipped"
+        assert report.legs["lower_bound"].status == "skipped"
         # the remaining legs still hold and decide the outcome
-        assert report.leg("long_only").status == "pass"
-        assert report.leg("control_bound").status == "pass"
+        assert report.legs["long_only"].status == "pass"
+        assert report.legs["control_bound"].status == "pass"
         assert report.passed
 
     def test_boundary_financing_ties_investment_to_account(self):
@@ -324,12 +321,6 @@ class TestPropertySuite:
         active = p.u != 0.0
         assert active.any()
         assert p.u[active] == pytest.approx(tr.k * p.v[active], rel=1e-12)
-
-    def test_unknown_leg_lookup(self):
-        tr = TradeSpec(u0=1.0, k=1.0, v0=2.0, s_star=0.5)
-        report = legs_of(tr, PathGrid(1.0, 16), 50, 1)
-        with pytest.raises(KeyError):
-            report.leg("nope")
 
     def test_needs_a_trajectory_batch(self):
         tr = TradeSpec(u0=1.0, k=1.0, v0=2.0, s_star=0.5)
