@@ -121,12 +121,17 @@ class CdfValue:
             raise ParameterError(f"p must lie in [0, 1] (got {self.p})")
 
 
-def _phi_at_log(ctx: ShorthandContext, log_z, t):
-    """Normal CDF of the standardized log price ``(log_z + (mu - sigma**2/2) t) / (sigma sqrt(t))``."""
+def _std_log(ctx: ShorthandContext, log_z, t):
+    """Standardized log price ``(log_z + (mu - sigma**2/2) t) / (sigma sqrt(t))``."""
     # the drift term or the quotient overflows only when the exact argument is
     # far beyond +-40, where ndtr is exactly 0 or 1, so the +-inf is exact
     with np.errstate(over="ignore"):
-        return ndtr((log_z + ctx.market.drift_rate * t) / (ctx.market.sigma * np.sqrt(t)))
+        return (log_z + ctx.market.drift_rate * t) / (ctx.market.sigma * np.sqrt(t))
+
+
+def _phi_at_log(ctx: ShorthandContext, log_z, t):
+    """Normal CDF of the standardized log price :func:`_std_log`."""
+    return ndtr(_std_log(ctx, log_z, t))
 
 
 def _log1p_kx_over_u0(x, tr: TradeSpec):
@@ -192,20 +197,31 @@ def omega(t, ctx: ShorthandContext):
     return _scalar_or_array(np.where(start, 1.0, p))
 
 
-def stopping_time_cdf(t, ctx: ShorthandContext):
-    """CDF of the first time the price touches the stop level; 0 at ``t = 0``."""
-    return 1.0 - omega(t, ctx)
-
-
 def _joint_survival_log(log_s0_over_x, t, ctx: ShorthandContext):
     """P(price at ``t`` is >= ``x_price`` and no stop by ``t``), given ``ln(s0/x_price)``.
 
-    Survivor tail minus the reflection image weighted by ``z_star``; the one
-    place the reflection law is written.
+    Survivor tail minus the reflection image weighted by ``z_star``: the
+    reflection law, written here and, as its complement, just below.
     """
     log_image = log_s0_over_x - 2.0 * ctx.log_s0_over_star
     p = _phi_at_log(ctx, log_s0_over_x, t) - ctx.z_star * _phi_at_log(ctx, log_image, t)
     return _scalar_or_array(np.clip(p, 0.0, 1.0))
+
+
+def stopping_time_cdf(t, ctx: ShorthandContext):
+    """CDF of the first time the price touches the stop level; 0 at ``t = 0``.
+
+    ``Phi(-a) + z_star Phi(b)``, the exact complement of :func:`omega`'s
+    ``Phi(a) - z_star Phi(b)``, with no subtraction from 1: a small
+    probability keeps its relative accuracy.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise DomainError(f"t must be >= 0 (got {t})")
+    start = t == 0
+    t, log_star = np.where(start, 1.0, t), ctx.log_s0_over_star
+    p = ndtr(-_std_log(ctx, log_star, t)) + ctx.z_star * _phi_at_log(ctx, -log_star, t)
+    return _scalar_or_array(np.where(start, 0.0, np.clip(p, 0.0, 1.0)))
 
 
 def theta(x, t, ctx: ShorthandContext):
@@ -285,8 +301,11 @@ def cdf_with_stop(q: CdfQuery, ctx: ShorthandContext) -> CdfValue:
     the survivor branch.  The band runs down to the level curve for
     ``k > 1`` and up to it for ``k < 1``; at ``k = 1`` it shrinks to the atom
     at the locked-in stop loss, above which the reflected lognormal tail
-    adds the survivors.
+    adds the survivors.  A context with no stop order gets :func:`cdf_no_stop`,
+    the same values and tags: the law's ``s_star -> 0`` end.
     """
+    if not ctx.has_stop:
+        return cdf_no_stop(q, ctx)
     branch, stopped, unstopped = _joint_parts(q.x, q.t, ctx)
     p = np.clip(stopped + unstopped, 0.0, 1.0)
     return CdfValue(_scalar_or_array(p), _BRANCH_NAMES[branch])

@@ -9,7 +9,6 @@ at the batch size used.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,8 +19,6 @@ from .simulate import BatchResult, PathGrid, run_batch
 
 __all__ = [
     "ComparisonReport",
-    "LegResult",
-    "PropertyReport",
     "FigureResult",
     "FIGURE_PARAMS",
     "compare",
@@ -60,10 +57,10 @@ class ComparisonReport:
     n_samples: int
 
 
-def compare(samples, theory: Callable[[np.ndarray], np.ndarray], grid) -> ComparisonReport:
-    """Evaluate the right-continuous empirical CDF of ``samples`` and ``theory`` on ``grid``.
+def compare(samples, theory, grid) -> ComparisonReport:
+    """Compare the right-continuous empirical CDF of ``samples`` with ``theory`` on ``grid``.
 
-    ``theory`` is called once, on the whole grid; a scalar result is broadcast.
+    ``theory`` is the law's values on ``grid``, or one scalar that is broadcast.
     """
     samples = np.sort(np.asarray(samples, dtype=float).ravel())
     if samples.size == 0:
@@ -73,7 +70,7 @@ def compare(samples, theory: Callable[[np.ndarray], np.ndarray], grid) -> Compar
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptySampleError("comparison grid must not be empty")
-    theory_vals = np.full(grid.shape, theory(grid), dtype=float)
+    theory_vals = np.full(grid.shape, theory, dtype=float)
     empirical_vals = np.searchsorted(samples, grid, side="right") / samples.size
     residual = empirical_vals - theory_vals
     return ComparisonReport(
@@ -134,7 +131,7 @@ def law_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> Compa
     from the market and trade of ``ctx`` at horizon ``t_end``.
     """
     xs = comparison_grid(ctx, t_end)
-    return compare(batch.terminal_gain, lambda x: cdf_with_stop(CdfQuery(x, t_end), ctx).p, xs)
+    return compare(batch.terminal_gain, cdf_with_stop(CdfQuery(xs, t_end), ctx).p, xs)
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def reproduce_figure(
     batch = run_batch(m, tr, grid, n_paths, master_seed, bridge=bridge, n_workers=n_workers)
     report = law_report(batch, ctx, t_end)
     no_stop_report = compare(
-        batch.free_gain, lambda x: cdf_no_stop(CdfQuery(x, t_end), ctx).p, report.grid
+        batch.free_gain, cdf_no_stop(CdfQuery(report.grid, t_end), ctx).p, report.grid
     )
     dataset = {
         "x": report.grid,
@@ -201,30 +198,12 @@ def reproduce_figure(
     return FigureResult(config=config, dataset=dataset, report=report, no_stop_report=no_stop_report)
 
 
-@dataclass(frozen=True)
-class LegResult:
-    """Outcome of one verification leg: pass, fail or skipped, with details."""
-
-    status: str
-    detail: dict
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """All trajectory and bound legs for one simulated batch, by leg name."""
-
-    legs: dict[str, LegResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(leg.status != "fail" for leg in self.legs.values())
-
-
-def property_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> PropertyReport:
+def property_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> dict[str, dict]:
     """Check the trajectory guarantees and the expected-gain bound on a simulated batch.
 
     ``batch`` must be run with ``trajectory=True``, from the market and trade
-    of ``ctx`` at horizon ``t_end``.
+    of ``ctx`` at horizon ``t_end``.  Each leg maps its name to
+    ``{"status": "pass" | "fail" | "skipped", **details}``.
 
     Legs
     ----
@@ -250,10 +229,10 @@ def property_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> 
     # both the account and the bound's derivation need u0 <= k v0
     survives = check_survivability(tr)
     unmet = f"u0={tr.u0} > k*v0={tr.k * tr.v0}"
-    legs = {
+    return {
         "survivability": _count_leg(
             traj.survivability_violations, min_account_value=traj.min_account_value,
-        ) if survives else LegResult("skipped", {"reason": unmet}),
+        ) if survives else {"status": "skipped", "reason": unmet},
         "long_only": _count_leg(
             traj.long_only_violations,
             min_active_investment=traj.min_active_investment,
@@ -263,30 +242,28 @@ def property_report(batch: BatchResult, ctx: ShorthandContext, t_end: float) -> 
         ),
         "control_bound": _count_leg(traj.control_bound_violations, max_excess=traj.max_bound_excess),
         "lower_bound": _lower_bound_leg(batch.terminal_gain, ctx, t_end)
-        if survives else LegResult("skipped", {"reason": unmet}),
+        if survives else {"status": "skipped", "reason": unmet},
     }
-    return PropertyReport(legs=legs)
 
 
-def _leg(passed: bool, detail: dict) -> LegResult:
+def _leg(passed: bool, **detail) -> dict:
     """A leg that either passed or failed; every such leg of a report is built here."""
-    return LegResult("pass" if passed else "fail", detail)
+    return {"status": "pass" if passed else "fail", **detail}
 
 
-def _count_leg(violations: int, **detail) -> LegResult:
+def _count_leg(violations: int, **detail) -> dict:
     """A leg that fails on any violation, with the count as the detail's ``violations``."""
-    return _leg(violations == 0, {**detail, "violations": violations})
+    return _leg(violations == 0, **detail, violations=violations)
 
 
-def _lower_bound_leg(terminal: np.ndarray, ctx: ShorthandContext, t_end: float) -> LegResult:
+def _lower_bound_leg(terminal: np.ndarray, ctx: ShorthandContext, t_end: float) -> dict:
     """The ``lower_bound`` leg: the mean gain against the bound at each cutoff, within 3 SE."""
     v0 = ctx.trade.v0
     mean_g = float(terminal.mean())
     se = float(terminal.std(ddof=1) / math.sqrt(len(terminal))) if len(terminal) > 1 else 0.0
-    law = cdf_with_stop if ctx.has_stop else cdf_no_stop
     cutoffs = {}
     for label, c in (("half_v0", v0 / 2), ("v0", v0), ("twice_v0", 2 * v0)):
-        bound = expected_gain_lower_bound(c, v0, law(CdfQuery(c - v0, t_end), ctx).p)
+        bound = expected_gain_lower_bound(c, v0, cdf_with_stop(CdfQuery(c - v0, t_end), ctx).p)
         cutoffs[label] = {"c": c, "bound": bound, "ok": mean_g >= bound - 3.0 * se}
     passed = all(cut["ok"] for cut in cutoffs.values())
-    return _leg(passed, {"mean_gain": mean_g, "standard_error": se, "cutoffs": cutoffs})
+    return _leg(passed, mean_gain=mean_g, standard_error=se, cutoffs=cutoffs)

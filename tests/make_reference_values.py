@@ -56,7 +56,9 @@ class Closed:
     def stop_cdf(self, t):
         if t <= 0:
             return mp.mpf(0)
-        return 1 - self.pair(self.s0 / self.s_star, t) + self.z_star * self.pair(self.s_star / self.s0, t)
+        # phi(-x) is 1 - phi(x) with no subtraction, so tiny probabilities keep their digits
+        direct = big_x(self.s0 / self.s_star, t, self.mu, self.sigma)
+        return phi(-direct) + self.z_star * self.pair(self.s_star / self.s0, t)
 
     def omega(self, t):
         return 1 - self.stop_cdf(t)

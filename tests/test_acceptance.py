@@ -109,11 +109,11 @@ def test_criterion_08_property_suite():
     batch = run_batch(DEMO, tr, PathGrid(1.0, 1024), 10_000, 404, trajectory=True)
     report = property_report(batch, ShorthandContext(DEMO, tr), 1.0)
     for name in ("survivability", "long_only", "control_bound"):
-        leg = report.legs[name]
-        assert leg.status == "pass", f"{name}: {leg.detail}"
-        assert leg.detail["violations"] == 0
-    assert report.legs["lower_bound"].status == "pass"
-    assert report.passed
+        leg = report[name]
+        assert leg["status"] == "pass", f"{name}: {leg}"
+        assert leg["violations"] == 0
+    assert report["lower_bound"]["status"] == "pass"
+    assert all(leg["status"] != "fail" for leg in report.values())
 
 
 def test_criterion_09_lower_bound():

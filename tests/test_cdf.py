@@ -210,6 +210,22 @@ class TestStoppingTimeLaw:
         ctx = ctx_for(1.0, market=MarketParams(mu=1.0, sigma=1.0, s0=1.0))
         assert stopping_time_cdf(1e4, ctx) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("mu", ["-0.3", "0.5", "1.5"])
+    def test_tail_matches_the_mpmath_oracle(self, mu):
+        # 1 - omega would cancel to 0 at the far stops; the direct form
+        # keeps the relative accuracy of the 60-digit reference
+        mp = pytest.importorskip("mpmath")
+        import make_reference_values as ref
+
+        market = MarketParams(mu=float(mu), sigma=1.0, s0=1.0)
+        with mp.workdps(60):
+            for s_star in ("1e-3", "1e-4", "1e-5", "0.5"):
+                law = ref.Closed(mu, "1", "1", s_star, "1", "2")
+                ctx = ctx_for(2.0, s_star=float(s_star), market=market)
+                for t in ("0.25", "1", "4"):
+                    want = law.stop_cdf(mp.mpf(t))
+                    assert abs(stopping_time_cdf(float(t), ctx) / want - 1) <= 1e-12, (s_star, t)
+
     def test_mc_cross_check(self):
         # frozen 10^6-path bridge-corrected oracle, SE ~ 5e-4
         assert stopping_time_cdf(1.0, CTX1) == pytest.approx(
@@ -455,6 +471,15 @@ class TestLimitsAndStress:
         for x in np.linspace(-1.0 / k + 1e-3, 4.0, 120):
             q = CdfQuery(float(x), 1.0)
             assert abs(cdf_with_stop(q, ctx_eps).p - cdf_no_stop(q, ctx_free).p) <= 1e-6
+        # the end of the limit: with no stop order the stop law is the free-running law
+        floor = -1.0 / k
+        queries = [CdfQuery(x, 1.0) for x in (floor - 1.0, floor, floor + 1e-3, 0.0, 2.0)]
+        queries.append(CdfQuery(np.array([floor - 0.5, floor, floor + 1e-9, -0.2, 0.0, 3.0]), 1.0))
+        for q in queries:
+            got, want = cdf_with_stop(q, ctx_free), cdf_no_stop(q, ctx_free)
+            assert np.array_equal(got.p, want.p) and type(got.p) is type(want.p)
+            assert np.array_equal(got.branch, want.branch)
+        assert list(cdf_with_stop(queries[-1], ctx_free).branch[:2]) == [BRANCH_FLOOR] * 2
 
     def test_continuity_in_k_away_from_atom(self):
         for x in (-0.45, -0.3, 0.0, 0.5, 2.0):

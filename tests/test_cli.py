@@ -140,6 +140,12 @@ class TestStoptime:
         assert rc == EXIT_OK
         assert out == "1\n"
 
+    def test_far_stop_keeps_its_tail(self, capsys):
+        # 1 - omega cancels to 0 here; the 60-digit value is 3.25092421003376e-20
+        rc, out, _ = run(capsys, ["stoptime", "--sstar", "1e-4", "--k", "2"])
+        assert rc == EXIT_OK
+        assert float(out) == pytest.approx(3.2509242100337610e-20, rel=1e-12)
+
 
 class TestCurve:
     def test_row_count_and_header(self, capsys):

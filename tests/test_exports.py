@@ -23,7 +23,7 @@ PUBLIC = {
     "PathGrid", "PathTrajectory", "BatchResult", "TrajectoryStats", "path_trajectory",
     "run_batch",
     # verify
-    "ComparisonReport", "LegResult", "PropertyReport", "FigureResult",
+    "ComparisonReport", "FigureResult",
     "FIGURE_PARAMS", "compare", "comparison_grid", "law_report",
     "property_report", "reproduce_figure",
 }
